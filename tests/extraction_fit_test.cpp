@@ -1,9 +1,13 @@
 #include "common/random.hpp"
+#include "dataset/qflow_synth.hpp"
+#include "extraction/fast_extractor.hpp"
 #include "extraction/piecewise_fit.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <tuple>
 
 namespace qvg {
 namespace {
@@ -163,6 +167,109 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::pair{40.0, 45.0}, std::pair{50.0, 42.0},
                       std::pair{55.0, 35.0}, std::pair{45.0, 30.0},
                       std::pair{58.0, 20.0}, std::pair{30.0, 46.0}));
+
+// Golden pins: bit-exact outputs recorded from the original
+// std::function/std::vector Nelder-Mead fit. Any rewrite of the fit or its
+// optimizer must replay the same floating-point operation sequence.
+struct GoldenFit {
+  const char* name;
+  double x, y, slope_shallow, slope_steep, rms;
+  int iterations;
+};
+
+constexpr GoldenFit kGoldenFits[] = {
+    {"clean", 0x1.9ec848bb0208p+5, 0x1.43c92a770aacfp+5, -0x1.d23bb750890b6p-3, -0x1.fddef95b29272p+1, 0x1.47ecd7a0207b8p-2, 72},
+    {"jitter", 0x1.a48dc7de36142p+5, 0x1.3b4a132401dcbp+5, -0x1.fd6d604e11e76p-3, -0x1.0e8a08aa438b3p+2, 0x1.9aab7f36bc31cp-1, 71},
+    {"outliers_huber", 0x1.9eb3cd4138317p+5, 0x1.45dca2e848656p+5, -0x1.c5a43fc06e552p-3, -0x1.00a86daea3774p+2, 0x1.42d144462753dp-1, 71},
+    {"outliers_plain", 0x1.9e64b54a7ee6ep+5, 0x1.4719d2dbca3aep+5, -0x1.be78ed63477b8p-3, -0x1.00a86da1229ffp+2, 0x1.416db03980921p-1, 71},
+    {"jitter_plain", 0x1.a491e33838123p+5, 0x1.3b38b6f9ea0e4p+5, -0x1.fdcfa072411efp-3, -0x1.0e8a08c10d1bcp+2, 0x1.9aaab7ca2aae3p-1, 72},
+    {"vertical_clean", 0x1.9e21b4a333031p+5, 0x1.43f1d72274608p+5, -0x1.d22ad8801d2e2p-3, -0x1.f924924ce863fp+1, 0x1.494cd1d4f618ep-2, 70},
+    {"vertical_jitter", 0x1.a328fdc9aba01p+5, 0x1.39ff2061f43eap+5, -0x1.03a9d91e16e34p-2, -0x1.06fb587501be4p+2, 0x1.9ed2725f1acb6p-1, 72},
+    {"vertical_outliers", 0x1.9e2be2a35409dp+5, 0x1.45fde97149ef8p+5, -0x1.c590d33b00c85p-3, -0x1.fd6db6e1e2b72p+1, 0x1.4304701beea61p-1, 74},
+    {"grid_40_45", 0x1.3ec6e39c123e8p+5, 0x1.6a252cd07f3f8p+5, -0x1.44aea111ea40dp-3, -0x1.d969d641dc4bap+0, 0x1.ca548a38e22bap-3, 76},
+    {"grid_50_42", 0x1.93b7f25aac982p+5, 0x1.4efbed6e57a3ep+5, -0x1.9b5273180f851p-3, -0x1.c6b5d55885e11p+1, 0x1.28925487abd19p-2, 74},
+    {"grid_55_35", 0x1.b94260bf2cef7p+5, 0x1.19fcfac8b658dp+5, -0x1.4e8204e98975ap-2, -0x1.681e52c3b73f3p+2, 0x1.5696913860962p-2, 78},
+    {"grid_45_30", 0x1.6b32766696c49p+5, 0x1.de134780ef029p+4, -0x1.230221e93e06ep-1, -0x1.7fa27c8ac6707p+0, 0x1.bcb0e4efc932bp-3, 86},
+    {"grid_58_20", 0x1.cf6b6f40bad2cp+5, 0x1.4783441dc2f7p+4, -0x1.3b77dfb47741ap-1, -0x1.810f20c8f68b3p+2, 0x1.204b31fcf87f3p-2, 79},
+    {"grid_30_46", 0x1.e874f0761b0d1p+4, 0x1.6ede29b7fc15p+5, -0x1.9d2c387bc460fp-3, -0x1.48da5435701dp+0, 0x1.38b8476d24de6p-2, 82},
+};
+
+/// The fit input behind each golden pin: the clean, jittered and outlier
+/// point sets, Huber on and off, both residual modes, and the vertex grid.
+std::tuple<std::vector<Pixel>, PathSpec, PiecewiseFitOptions> golden_input(
+    const std::string& name) {
+  PathSpec spec;
+  PiecewiseFitOptions opt;
+  if (name.starts_with("vertical_")) opt.residual = FitResidual::kVertical;
+  if (name.ends_with("_plain")) opt.huber_delta_px = 0.0;
+  if (name.starts_with("grid_")) {
+    spec.vertex.x = std::stod(name.substr(5, 2));
+    spec.vertex.y = std::stod(name.substr(8, 2));
+  }
+  if (name.find("jitter") != std::string::npos)
+    return {path_points(spec, 0.8), spec, opt};
+  auto points = path_points(spec);
+  if (name.find("outliers") != std::string::npos) {
+    points.push_back({30, 48});
+    points.push_back({35, 47});
+    points.push_back({55, 30});
+  }
+  return {points, spec, opt};
+}
+
+TEST(PiecewiseFitGoldenTest, CorpusIsBitIdentical) {
+  for (const GoldenFit& golden : kGoldenFits) {
+    SCOPED_TRACE(golden.name);
+    const auto [points, spec, opt] = golden_input(golden.name);
+    const auto fit =
+        fit_piecewise_linear(points, spec.anchor_a, spec.anchor_b, opt);
+    ASSERT_TRUE(fit.has_value()) << fit.reason();
+    EXPECT_EQ(fit->intersection.x, golden.x);
+    EXPECT_EQ(fit->intersection.y, golden.y);
+    EXPECT_EQ(fit->slope_shallow, golden.slope_shallow);
+    EXPECT_EQ(fit->slope_steep, golden.slope_steep);
+    EXPECT_EQ(fit->rms_residual, golden.rms);
+    EXPECT_EQ(fit->iterations, golden.iterations);
+  }
+}
+
+struct GoldenSuiteFit {
+  int index;
+  double slope_steep, slope_shallow, intersection_x, intersection_y;
+};
+
+constexpr GoldenSuiteFit kGoldenSuite[] = {
+    {1, -0x1.a113d604cd422p+1, -0x1.08b891c2f7009p+0, 0x1.295a9f484617ap-7, 0x1.dd53de8b0e03cp-6},
+    {2, -0x1.af22330615bffp+1, -0x1.57bc471edc507p-1, 0x1.1de02019a3472p-5, 0x1.56dedbd014a08p-5},
+    {3, -0x1.5614403bc4c8cp+2, -0x1.65699b3ff25b7p-3, 0x1.e035bdd983dedp-6, 0x1.6f2d21543823dp-6},
+    {4, -0x1.a6c15a322cd5bp+1, -0x1.089dd53ddb743p-2, 0x1.b0ff2c322b2a1p-6, 0x1.54ca036148886p-6},
+    {5, -0x1.e1cf7f6e11f4p+1, -0x1.0703b984083a5p-2, 0x1.baa1587159db7p-6, 0x1.52d7e3bd57ed1p-6},
+    {6, -0x1.e1200a53df789p+1, -0x1.1cdd6655092fap-2, 0x1.fafa9fc47c6f8p-6, 0x1.95b1b649fbfa2p-6},
+    {7, -0x1.12d9584c6d26ep+2, -0x1.ee02a56fc4edbp-3, 0x1.cc737131c8e12p-6, 0x1.87e7903445ceep-6},
+    {8, -0x1.30f1a703202efp+2, -0x1.ce099af187c82p-3, 0x1.c5f1d3f176d98p-6, 0x1.8c9d8cd15d409p-6},
+    {9, -0x1.3b4ae94db41f3p+2, -0x1.26d5aa13d331dp-2, 0x1.d12a8567eccf7p-6, 0x1.5f6c63ba95ae7p-6},
+    {10, -0x1.d41547afe2887p+1, -0x1.118de3446f922p-2, 0x1.a942aa5b6a2cdp-6, 0x1.67c1f01bc2df8p-6},
+    {11, -0x1.e4287b09803d9p+1, -0x1.9c179790cfde1p-3, 0x1.b495960f327cbp-6, 0x1.b68bf08c8c8f1p-6},
+    {12, -0x1.ee8ce62d31cccp+1, -0x1.0b6ee05f81dbfp-2, 0x1.86c0421fc1045p-6, 0x1.7f29a6b44bea8p-6},
+};
+
+TEST(PiecewiseFitGoldenTest, QflowSuiteSlopesAreBitIdentical) {
+  const std::vector<QflowBenchmark> suite = build_qflow_suite();
+  ASSERT_EQ(suite.size(), std::size(kGoldenSuite));
+  for (std::size_t i = 0; i < suite.size(); ++i) {
+    const GoldenSuiteFit& golden = kGoldenSuite[i];
+    SCOPED_TRACE(suite[i].name());
+    ASSERT_EQ(suite[i].spec.index, golden.index);
+    auto playback = make_playback(suite[i]);
+    const FastExtractionResult result = run_fast_extraction(
+        *playback, suite[i].csd.x_axis(), suite[i].csd.y_axis());
+    ASSERT_TRUE(result.status.ok()) << result.status.message();
+    EXPECT_EQ(result.slope_steep, golden.slope_steep);
+    EXPECT_EQ(result.slope_shallow, golden.slope_shallow);
+    EXPECT_EQ(result.intersection_voltage.x, golden.intersection_x);
+    EXPECT_EQ(result.intersection_voltage.y, golden.intersection_y);
+  }
+}
 
 }  // namespace
 }  // namespace qvg

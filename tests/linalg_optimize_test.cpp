@@ -20,6 +20,11 @@ TEST(NelderMeadTest, QuadraticBowl) {
   EXPECT_NEAR(result.x[0], 3.0, 1e-4);
   EXPECT_NEAR(result.x[1], -1.0, 1e-4);
   EXPECT_NEAR(result.f, 0.0, 1e-7);
+  // Golden pin: bit-exact output of the original std::vector implementation.
+  EXPECT_EQ(result.x[0], 0x1.7ffffffffcf88p+1);
+  EXPECT_EQ(result.x[1], -0x1.000000000f767p+0);
+  EXPECT_EQ(result.f, 0x1.13cccc71p-72);
+  EXPECT_EQ(result.iterations, 96);
 }
 
 TEST(NelderMeadTest, Rosenbrock2D) {
@@ -31,6 +36,11 @@ TEST(NelderMeadTest, Rosenbrock2D) {
   const auto result = minimize_nelder_mead(f, {-1.2, 1.0}, opt);
   EXPECT_NEAR(result.x[0], 1.0, 1e-3);
   EXPECT_NEAR(result.x[1], 1.0, 1e-3);
+  // Golden pin: bit-exact output of the original std::vector implementation.
+  EXPECT_EQ(result.x[0], 0x1.0000000005318p+0);
+  EXPECT_EQ(result.x[1], 0x1.0000000007e9dp+0);
+  EXPECT_EQ(result.f, 0x1.3f5e39a2p-71);
+  EXPECT_EQ(result.iterations, 119);
 }
 
 TEST(NelderMeadTest, OneDimensional) {
