@@ -2,8 +2,8 @@
 // the filtered transition points. The outer endpoints are fixed at the two
 // initial anchor points; the only free parameters are the coordinates of
 // the intersection point of the two lines. The paper fits with SciPy's
-// curve_fit; we minimize the same least-squares objective with Nelder-Mead
-// and polish with Levenberg-Marquardt.
+// curve_fit; we minimize the same least-squares objective (with an optional
+// Huber loss) by Nelder-Mead alone.
 #pragma once
 
 #include "common/error.hpp"

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <tuple>
 
@@ -51,6 +54,108 @@ TEST(DistanceToPathTest, KnownDistances) {
   EXPECT_DOUBLE_EQ(distance_to_path({5, 8}, a, vertex, b), 2.0);
   EXPECT_DOUBLE_EQ(distance_to_path({12, 10}, a, vertex, b), 2.0);
   EXPECT_NEAR(distance_to_path({13, 14}, a, vertex, b), 5.0, 1e-12);
+}
+
+/// Reference distance: one hypot per segment, then the smaller of the two.
+double segment_distance_oracle(Point2 p, Point2 a, Point2 b) {
+  const Point2 ab = b - a;
+  const double len2 = ab.x * ab.x + ab.y * ab.y;
+  if (len2 < 1e-300) return std::hypot(p.x - a.x, p.y - a.y);
+  double t = ((p.x - a.x) * ab.x + (p.y - a.y) * ab.y) / len2;
+  t = std::clamp(t, 0.0, 1.0);
+  return std::hypot(p.x - (a.x + t * ab.x), p.y - (a.y + t * ab.y));
+}
+
+double distance_to_path_oracle(Point2 p, Point2 a, Point2 vertex, Point2 b) {
+  return std::min(segment_distance_oracle(p, a, vertex),
+                  segment_distance_oracle(p, vertex, b));
+}
+
+void expect_matches_oracle(Point2 p, Point2 a, Point2 vertex, Point2 b) {
+  const double got = distance_to_path(p, a, vertex, b);
+  const double want = distance_to_path_oracle(p, a, vertex, b);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want))
+      << std::hexfloat << "p=" << p << " a=" << a << " vertex=" << vertex
+      << " b=" << b << " got=" << got << " want=" << want;
+}
+
+TEST(DistanceToPathTest, MatchesOracleOnRandomPoints) {
+  Rng rng(20240611);
+  for (int i = 0; i < 20000; ++i) {
+    const Point2 a{rng.uniform(0.0, 40.0), rng.uniform(30.0, 80.0)};
+    const Point2 b{rng.uniform(40.0, 80.0), rng.uniform(0.0, 30.0)};
+    const Point2 vertex{rng.uniform(a.x, b.x), rng.uniform(b.y, a.y)};
+    const Point2 p{rng.uniform(-10.0, 90.0), rng.uniform(-10.0, 90.0)};
+    expect_matches_oracle(p, a, vertex, b);
+  }
+}
+
+TEST(DistanceToPathTest, MatchesOracleOnBisectorNearTies) {
+  const Point2 a{10, 50};
+  const Point2 vertex{52.3, 40.1};
+  const Point2 b{60, 8};
+  auto unit = [](Point2 d) { return (1.0 / std::hypot(d.x, d.y)) * d; };
+  const Point2 bisector = unit(unit(a - vertex) + unit(b - vertex));
+  // Thousands of radii: a one-hypot shortcut without its 1e-9 margin picks
+  // the wrong segment on a handful of these.
+  Rng rng(5);
+  std::vector<double> radii{1e-12, 1e-6};
+  for (int i = 0; i < 2000; ++i) radii.push_back(rng.uniform(0.01, 20.0));
+  for (const double r : radii) {
+    for (const double side : {1.0, -1.0}) {
+      // Points on the bisector are equidistant from both segments; nudge
+      // each by a few ulps either way so the two distances nearly tie.
+      const Point2 on = vertex + (side * r) * bisector;
+      for (int ulps = -4; ulps <= 4; ++ulps) {
+        const double toward = ulps > 0 ? 1e300 : -1e300;
+        Point2 px = on;
+        Point2 py = on;
+        for (int k = 0; k < std::abs(ulps); ++k) {
+          px.x = std::nextafter(px.x, toward);
+          py.y = std::nextafter(py.y, toward);
+        }
+        expect_matches_oracle(px, a, vertex, b);
+        expect_matches_oracle(py, a, vertex, b);
+      }
+    }
+  }
+}
+
+TEST(DistanceToPathTest, MatchesOracleAtTheVertex) {
+  const Point2 a{10, 50};
+  const Point2 vertex{52.3, 40.1};
+  const Point2 b{60, 8};
+  expect_matches_oracle(vertex, a, vertex, b);
+  EXPECT_EQ(distance_to_path(vertex, a, vertex, b), 0.0);
+}
+
+TEST(DistanceToPathTest, MatchesOracleOnZeroLengthSegments) {
+  const Point2 a{10, 50};
+  const Point2 b{60, 8};
+  Rng rng(7);
+  for (int i = 0; i < 500; ++i) {
+    const Point2 p{rng.uniform(0.0, 70.0), rng.uniform(0.0, 60.0)};
+    expect_matches_oracle(p, a, a, b);  // vertex == anchor A
+    expect_matches_oracle(p, a, b, b);  // vertex == anchor B
+    expect_matches_oracle(p, a, a, a);  // both segments degenerate
+  }
+  expect_matches_oracle(a, a, a, b);
+  expect_matches_oracle(b, a, b, b);
+}
+
+TEST(DistanceToPathTest, MatchesOracleWhereSquaresUnderflowOrOverflow) {
+  Rng rng(11);
+  for (const double scale : {1e-160, 3e-155, 1e-162, 1e-170, 1e150, 1e160}) {
+    for (int i = 0; i < 500; ++i) {
+      const Point2 a{0.0, scale * rng.uniform(1.0, 2.0)};
+      const Point2 b{scale * rng.uniform(1.0, 2.0), 0.0};
+      const Point2 vertex{scale * rng.uniform(0.0, 1.0),
+                          scale * rng.uniform(0.0, 1.0)};
+      const Point2 p{scale * rng.uniform(-1.0, 3.0),
+                     scale * rng.uniform(-1.0, 3.0)};
+      expect_matches_oracle(p, a, vertex, b);
+    }
+  }
 }
 
 TEST(PiecewiseFitTest, RecoversCleanVertex) {
