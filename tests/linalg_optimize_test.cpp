@@ -56,8 +56,8 @@ TEST(NelderMeadTest, RespectsIterationBudget) {
   EXPECT_LE(result.iterations, 3);
 }
 
-// An empty start point no longer exists at run time: the dimension is a
-// template parameter and N == 0 fails a static_assert.
+// No empty-start case: the dimension is a template parameter, and N == 0
+// fails a static_assert at compile time.
 
 }  // namespace
 }  // namespace qvg
