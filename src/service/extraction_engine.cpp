@@ -9,9 +9,33 @@
 #include <memory>
 #include <utility>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 namespace qvg {
 
 namespace {
+
+/// Keep freed job memory in the process heap. A 200 px Hough baseline job
+/// allocates and frees ~2 MB of image buffers; glibc's default trim
+/// threshold (twice the largest freed mmap chunk, ~640 KB here) hands that
+/// back to the kernel after every job, so the next job re-faults it page by
+/// page — a quarter of the job's time, and a cost that swings with host
+/// memory load. Pinning the thresholds at the ceilings glibc's dynamic
+/// scheme climbs to (32 MiB mmap, twice that for trim) lets jobs reuse the
+/// heap, for under 1 MB more peak RSS. Process-wide, set once.
+void retain_freed_job_memory() {
+#if defined(__GLIBC__)
+  static const bool done = [] {
+    constexpr int kMmapThreshold = 32 << 20;
+    mallopt(M_MMAP_THRESHOLD, kMmapThreshold);
+    mallopt(M_TRIM_THRESHOLD, 2 * kMmapThreshold);
+    return true;
+  }();
+  (void)done;
+#endif
+}
 
 /// Build the simulator a DeviceBackend describes: the pair's scan plane and
 /// nearest charge sensor, plus the requested noise tier (attachment order
@@ -119,7 +143,9 @@ void run_method_with_faults(const ExtractionRequest& request,
 }  // namespace
 
 ExtractionEngine::ExtractionEngine(EngineOptions options)
-    : options_(options) {}
+    : options_(options) {
+  retain_freed_job_memory();
+}
 
 ExtractionReport ExtractionEngine::run(const ExtractionRequest& request) const {
   return run(request, CancelToken{});
