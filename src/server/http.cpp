@@ -2,7 +2,9 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -12,6 +14,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <list>
 #include <mutex>
 #include <thread>
 
@@ -39,6 +42,30 @@ std::string lowercase(std::string s) {
     return static_cast<char>(std::tolower(c));
   });
   return s;
+}
+
+/// Whether the comma-separated header value `list` names `token` (given in
+/// lowercase), ignoring case and surrounding whitespace.
+bool has_token(const std::string& list, std::string_view token) {
+  const std::string lower = lowercase(list);
+  std::string_view rest = lower;
+  while (!rest.empty()) {
+    const std::size_t comma = rest.find(',');
+    std::string_view item = rest.substr(0, comma);
+    rest = comma == std::string_view::npos ? std::string_view{}
+                                           : rest.substr(comma + 1);
+    while (!item.empty() && (item.front() == ' ' || item.front() == '\t'))
+      item.remove_prefix(1);
+    while (!item.empty() && (item.back() == ' ' || item.back() == '\t'))
+      item.remove_suffix(1);
+    if (item == token) return true;
+  }
+  return false;
+}
+
+std::string status_line(int status) {
+  return "HTTP/1.1 " + std::to_string(status) + " " +
+         http_status_reason(status) + "\r\n";
 }
 
 }  // namespace
@@ -89,20 +116,22 @@ void ResponseWriter::send(
     int status, std::string_view content_type, std::string_view body,
     const std::vector<std::pair<std::string, std::string>>& extra_headers) {
   responded_ = true;
-  std::string head = "HTTP/1.1 " + std::to_string(status) + " " +
-                     http_status_reason(status) + "\r\n";
-  head += "Content-Type: " + std::string(content_type) + "\r\n";
-  head += "Content-Length: " + std::to_string(body.size()) + "\r\n";
-  for (const auto& [k, v] : extra_headers) head += k + ": " + v + "\r\n";
-  head += "Connection: close\r\n\r\n";
-  if (write_all(head)) (void)write_all(body);
+  // Head and body leave in one send(): split, the body would wait for the
+  // peer's delayed ACK of the head on a kept connection.
+  std::string message = status_line(status);
+  message += "Content-Type: " + std::string(content_type) + "\r\n";
+  message += "Content-Length: " + std::to_string(body.size()) + "\r\n";
+  for (const auto& [k, v] : extra_headers) message += k + ": " + v + "\r\n";
+  message += keep_alive_ ? "Connection: keep-alive\r\n\r\n"
+                         : "Connection: close\r\n\r\n";
+  message.append(body);
+  (void)write_all(message);
 }
 
 void ResponseWriter::begin_stream(int status, std::string_view content_type) {
   responded_ = true;
   streaming_ = true;
-  std::string head = "HTTP/1.1 " + std::to_string(status) + " " +
-                     http_status_reason(status) + "\r\n";
+  std::string head = status_line(status);
   head += "Content-Type: " + std::string(content_type) + "\r\n";
   head += "Cache-Control: no-store\r\n";
   head += "Transfer-Encoding: chunked\r\n";
@@ -114,9 +143,10 @@ bool ResponseWriter::write_chunk(std::string_view data) {
   if (data.empty()) return !dead_;  // an empty chunk would terminate
   char size_line[32];
   std::snprintf(size_line, sizeof size_line, "%zx\r\n", data.size());
-  if (!write_all(size_line)) return false;
-  if (!write_all(data)) return false;
-  return write_all("\r\n");
+  std::string chunk = size_line;
+  chunk.append(data);
+  chunk += "\r\n";
+  return write_all(chunk);
 }
 
 void ResponseWriter::end_stream() {
@@ -126,54 +156,74 @@ void ResponseWriter::end_stream() {
 // --------------------------------------------------------- HttpServer -----
 
 struct HttpServer::Impl {
+  /// One accepted connection and the thread serving it. List nodes never
+  /// move, so the thread holds a reference to its own entry.
+  struct Connection {
+    explicit Connection(int f) : fd(f) {}
+    int fd;
+    bool done = false;  // guarded by mutex; set before fd is closed
+    std::thread thread;
+  };
+
   Handler handler;
   // Atomic: stop() closes and clears the listener from the caller's thread
   // while the accept thread is still reading it for the next accept().
   std::atomic<int> listen_fd{-1};
-  std::thread accept_thread;
   std::atomic<bool> stopping{false};
 
-  std::mutex mutex;  // guards connections + threads
-  std::vector<int> open_fds;
-  std::vector<std::thread> workers;
+  std::mutex mutex;  // guards connections
+  std::list<Connection> connections;
+
+  std::thread accept_thread;
 
   explicit Impl(Handler h) : handler(std::move(h)) {}
 
-  void serve_connection(int fd) {
-    handle_one(fd);
-    // Deregister BEFORE closing: once close() returns the kernel may hand
-    // the same fd number to a new accept(), and a stale open_fds entry
-    // would make the finished connection's erase also drop the new
-    // connection's entry — stop() would then never shut that socket down
-    // and would join its handler thread forever (or shutdown() a reused,
-    // unrelated descriptor).
+  void serve_connection(Connection& connection) {
+    const int fd = connection.fd;
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+    timeval idle{};
+    idle.tv_sec = kIdleTimeoutSeconds;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &idle, sizeof idle);
+
+    std::string buffer;  // received bytes not yet consumed by a request
+    while (handle_one(fd, buffer)) {
+    }
+    // Mark done BEFORE closing: once close() returns the kernel may hand
+    // the same fd number to a new accept(), and stop() must then not
+    // shutdown() this entry's stale number — that would hit a reused,
+    // unrelated descriptor.
     {
       std::lock_guard<std::mutex> lock(mutex);
-      open_fds.erase(std::remove(open_fds.begin(), open_fds.end(), fd),
-                     open_fds.end());
+      connection.done = true;
     }
     ::close(fd);
   }
 
-  /// Read headers (bounded), then the Content-Length body (bounded), parse,
-  /// dispatch. Any protocol problem answers with a 4xx and closes.
-  void handle_one(int fd) {
-    ResponseWriter writer(fd);
-    std::string buffer;
-    std::size_t header_end = std::string::npos;
+  /// Read one request (starting from the bytes already in `buffer`), then
+  /// dispatch it. Bytes past its body stay in `buffer` for the next
+  /// request. Returns whether the connection stays open for another one.
+  /// Any protocol problem answers with a 4xx and closes.
+  bool handle_one(int fd, std::string& buffer) {
+    const auto reject = [fd](int status, std::string_view why) {
+      ResponseWriter(fd).send(status, "text/plain", why);
+      return false;
+    };
+    std::size_t header_end = buffer.find("\r\n\r\n");
     char chunk[4096];
     while (header_end == std::string::npos) {
-      if (buffer.size() > kMaxHeaderBytes) {
-        writer.send(413, "text/plain", "headers too large\n");
-        return;
-      }
+      if (buffer.size() > kMaxHeaderBytes)
+        return reject(413, "headers too large\n");
+      // 0: the client closed (or stop() shut the socket down); -1: the idle
+      // deadline passed, or the connection broke.
       const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-      if (n <= 0) return;  // client went away before completing the request
+      if (n <= 0) return false;
       buffer.append(chunk, static_cast<std::size_t>(n));
       header_end = buffer.find("\r\n\r\n");
     }
 
     HttpRequest request;
+    bool keep_alive = false;
     {
       // Request line: METHOD SP target SP version.
       const std::size_t line_end = buffer.find("\r\n");
@@ -181,10 +231,8 @@ struct HttpServer::Impl {
       const std::size_t sp1 = line.find(' ');
       const std::size_t sp2 =
           sp1 == std::string::npos ? std::string::npos : line.find(' ', sp1 + 1);
-      if (sp2 == std::string::npos) {
-        writer.send(400, "text/plain", "malformed request line\n");
-        return;
-      }
+      if (sp2 == std::string::npos)
+        return reject(400, "malformed request line\n");
       request.method = line.substr(0, sp1);
       std::string target = line.substr(sp1 + 1, sp2 - sp1 - 1);
       const std::size_t qmark = target.find('?');
@@ -194,6 +242,9 @@ struct HttpServer::Impl {
         request.path = target.substr(0, qmark);
         request.query = target.substr(qmark + 1);
       }
+      // HTTP/1.1 connections persist by default (RFC 9112 §9.3); HTTP/1.0
+      // ones close after one exchange.
+      keep_alive = line.compare(sp2 + 1, std::string::npos, "HTTP/1.1") == 0;
       // Header lines up to the blank line.
       std::size_t pos = line_end + 2;
       while (pos < header_end) {
@@ -208,32 +259,46 @@ struct HttpServer::Impl {
         request.headers[std::move(key)] = header.substr(vstart);
       }
     }
+    if (auto it = request.headers.find("connection");
+        it != request.headers.end() && has_token(it->second, "close"))
+      keep_alive = false;
+    // A chunked body is unsupported; reading past it as if it were the
+    // next request would misframe the connection, so refuse and close.
+    if (request.headers.count("transfer-encoding") != 0)
+      return reject(400, "request transfer-encoding not supported\n");
 
     std::size_t content_length = 0;
     if (auto it = request.headers.find("content-length");
         it != request.headers.end()) {
       char* end = nullptr;
       const unsigned long long v = std::strtoull(it->second.c_str(), &end, 10);
-      if (end == it->second.c_str() || *end != '\0' || v > kMaxBodyBytes) {
-        writer.send(v > kMaxBodyBytes ? 413 : 400, "text/plain",
-                    "bad content length\n");
-        return;
-      }
+      if (end == it->second.c_str() || *end != '\0' || v > kMaxBodyBytes)
+        return reject(v > kMaxBodyBytes ? 413 : 400, "bad content length\n");
       content_length = static_cast<std::size_t>(v);
     }
 
-    request.body = buffer.substr(header_end + 4);
-    while (request.body.size() < content_length) {
-      const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-      if (n <= 0) return;  // truncated body: client gone
-      request.body.append(chunk, static_cast<std::size_t>(n));
+    // Read exactly to the end of the body, so no byte of a following
+    // request is consumed here.
+    const std::size_t body_start = header_end + 4;
+    const std::size_t request_end = body_start + content_length;
+    if (std::size_t filled = buffer.size(); filled < request_end) {
+      buffer.resize(request_end);
+      while (filled < request_end) {
+        const ssize_t n =
+            ::recv(fd, buffer.data() + filled, request_end - filled, 0);
+        if (n <= 0) return false;  // truncated body: client gone
+        filled += static_cast<std::size_t>(n);
+      }
     }
-    request.body.resize(content_length);
+    request.body.assign(buffer, body_start, content_length);
+    buffer.erase(0, request_end);
 
+    ResponseWriter writer(fd, keep_alive);
     handler(request, writer);
     if (!writer.responded())
       writer.send(500, "text/plain", "handler produced no response\n");
     writer.end_stream();
+    return writer.keep_alive();
   }
 
   void accept_loop() {
@@ -248,8 +313,21 @@ struct HttpServer::Impl {
         return;
       }
       std::lock_guard<std::mutex> lock(mutex);
-      open_fds.push_back(fd);
-      workers.emplace_back([this, fd] { serve_connection(fd); });
+      // Reap the threads of closed connections, so live threads track open
+      // connections rather than every connection since start(). A done
+      // thread only has close() left to run, never this mutex, so joining
+      // it here is brief and cannot deadlock.
+      for (auto it = connections.begin(); it != connections.end();) {
+        if (!it->done) {
+          ++it;
+          continue;
+        }
+        it->thread.join();
+        it = connections.erase(it);
+      }
+      Connection& connection = connections.emplace_back(fd);
+      connection.thread =
+          std::thread([this, &connection] { serve_connection(connection); });
     }
   }
 };
@@ -293,12 +371,9 @@ Status HttpServer::start(std::uint16_t port) {
 }
 
 void HttpServer::stop() {
-  if (impl_ == nullptr || impl_->stopping.exchange(true)) {
-    // Second call (or never started): still join if the first caller has
-    // not finished — but stop() from the destructor after an explicit
-    // stop() must be a no-op, which the joinable() checks below give us.
-  }
   if (impl_ == nullptr) return;
+  // From here on the accept loop closes whatever it accepts.
+  impl_->stopping.store(true);
   if (const int fd = impl_->listen_fd.exchange(-1); fd >= 0) {
     // Closing the listener pops accept() with EBADF/ECONNABORTED and ends
     // the accept loop.
@@ -306,19 +381,18 @@ void HttpServer::stop() {
     ::close(fd);
   }
   if (impl_->accept_thread.joinable()) impl_->accept_thread.join();
-  // Shut down in-flight connections: blocked recv()s return 0, blocked
-  // send()s fail, handlers unwind, then join everyone.
+  // Shut down open connections, idle kept ones included: blocked recv()s
+  // return 0, blocked send()s fail, handlers unwind, then join everyone.
+  // The nodes move to the local list intact, so each thread's reference to
+  // its entry stays valid until the join.
+  std::list<Impl::Connection> connections;
   {
     std::lock_guard<std::mutex> lock(impl_->mutex);
-    for (int fd : impl_->open_fds) ::shutdown(fd, SHUT_RDWR);
+    for (const Impl::Connection& c : impl_->connections)
+      if (!c.done) ::shutdown(c.fd, SHUT_RDWR);
+    connections.swap(impl_->connections);
   }
-  std::vector<std::thread> workers;
-  {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    workers.swap(impl_->workers);
-  }
-  for (std::thread& t : workers)
-    if (t.joinable()) t.join();
+  for (Impl::Connection& c : connections) c.thread.join();
 }
 
 }  // namespace qvg::server

@@ -1,24 +1,32 @@
 // Minimal embedded HTTP/1.1 server over POSIX sockets — no third-party
 // dependencies, enough protocol for the extraction wire API:
 //
-//   * one request per connection (the server answers with
-//     `Connection: close`), thread-per-connection;
+//   * persistent connections, thread-per-connection: an HTTP/1.1
+//     connection carries requests one after another until the client sends
+//     `Connection: close` (RFC 9112 §9.3); HTTP/1.0 requests, protocol
+//     errors and streams are answered with `Connection: close`;
+//   * a connection idle for kIdleTimeoutSeconds (or a client that stalls
+//     that long mid-request) is closed; the thread serving it is joined at
+//     the next accept, so live threads track open connections;
 //   * Content-Length request bodies (bounded; an oversize body is rejected
-//     with 413 before it is read);
-//   * fixed-length responses, or chunked transfer encoding for streams —
-//     the SSE progress lane holds the connection open and writes one chunk
-//     per event;
+//     with 413 before it is read); a request with Transfer-Encoding is
+//     answered 400 and closed;
+//   * fixed-length responses written head and body in one send(), with
+//     TCP_NODELAY, so a kept connection never waits out a delayed ACK; or
+//     chunked transfer encoding for streams — the SSE progress lane holds
+//     the connection open and writes one chunk per event;
 //   * a chunk write observes client disconnect (EPIPE/ECONNRESET) and
 //     reports it to the handler, which is how job cancel-on-disconnect
 //     works;
 //   * port 0 binds an ephemeral port (the bound port is reported back),
 //     so tests and benches never race over a fixed port;
-//   * stop() closes the listener, shuts down every open connection, and
-//     joins every worker thread — no leaked threads or fds (the loopback
-//     tests run under ASan).
+//   * stop() closes the listener, shuts down every open connection (idle
+//     kept ones included), and joins every worker thread — no leaked
+//     threads or fds (the loopback tests run under ASan and TSan).
 //
 // This is an embedded control-plane server for one trusted operator network,
-// not an internet-facing one: no TLS, no keep-alive, no pipelining.
+// not an internet-facing one: no TLS, no chunked request bodies, no
+// connection cap.
 #pragma once
 
 #include "common/status.hpp"
@@ -54,7 +62,10 @@ struct HttpRequest {
 /// a write reports the client gone) and finish with end_stream().
 class ResponseWriter {
  public:
-  explicit ResponseWriter(int fd) : fd_(fd) {}
+  /// `keep_alive`: the request lets the connection carry another request
+  /// after this response.
+  explicit ResponseWriter(int fd, bool keep_alive = false)
+      : fd_(fd), keep_alive_(keep_alive) {}
 
   /// Fixed-length response.
   void send(int status, std::string_view content_type, std::string_view body,
@@ -72,9 +83,16 @@ class ResponseWriter {
   /// Whether any response bytes have been committed.
   [[nodiscard]] bool responded() const noexcept { return responded_; }
 
+  /// Whether the connection may carry another request: keep-alive was
+  /// allowed, and a complete fixed-length response went out.
+  [[nodiscard]] bool keep_alive() const noexcept {
+    return keep_alive_ && responded_ && !streaming_ && !dead_;
+  }
+
  private:
   bool write_all(std::string_view data);
   int fd_ = -1;
+  bool keep_alive_ = false;
   bool responded_ = false;
   bool streaming_ = false;
   bool dead_ = false;
@@ -90,6 +108,9 @@ class HttpServer {
   /// legitimate wire payload is a playback CSD; 64 MiB is ~8 Mpixels).
   static constexpr std::size_t kMaxBodyBytes = 64u << 20;
   static constexpr std::size_t kMaxHeaderBytes = 64u << 10;
+  /// A connection with no request bytes arriving for this long is closed
+  /// (a receive timeout on every connection socket).
+  static constexpr int kIdleTimeoutSeconds = 5;
 
   explicit HttpServer(Handler handler);
   ~HttpServer();

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -34,11 +35,52 @@ int connect_loopback(std::uint16_t port) {
   addr.sin_port = htons(port);
   if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) <
       0) {
+    const int saved = errno;  // close() must not clobber the caller's errno
     ::close(fd);
+    errno = saved;
     return -1;
   }
+  // Requests leave in one send(); without this, a request sent right after
+  // the previous response can wait out the server's delayed ACK.
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
   return fd;
 }
+
+/// The calling thread's idle kept connection: one per thread, tagged with
+/// the port it reaches. Closed when replaced or when the thread exits.
+class IdleConnection {
+ public:
+  IdleConnection() = default;
+  IdleConnection(const IdleConnection&) = delete;
+  IdleConnection& operator=(const IdleConnection&) = delete;
+  ~IdleConnection() { drop(); }
+
+  /// Hand over the connection to `port`, or -1 when there is none (a
+  /// connection to another port is closed).
+  int take(std::uint16_t port) {
+    if (port != port_) drop();
+    const int fd = fd_;
+    fd_ = -1;
+    return fd;
+  }
+
+  void keep(int fd, std::uint16_t port) {
+    drop();
+    fd_ = fd;
+    port_ = port;
+  }
+
+ private:
+  void drop() {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = -1;
+  }
+  int fd_ = -1;
+  std::uint16_t port_ = 0;
+};
+
+thread_local IdleConnection t_idle;
 
 bool send_all(int fd, std::string_view data) {
   const char* p = data.data();
@@ -64,7 +106,7 @@ std::string request_text(const std::string& method, const std::string& target,
     out += "Content-Type: " + content_type + "\r\n";
     out += "Content-Length: " + std::to_string(body.size()) + "\r\n";
   }
-  out += "Connection: close\r\n\r\n";
+  out += "Connection: keep-alive\r\n\r\n";
   out.append(body);
   return out;
 }
@@ -97,23 +139,129 @@ std::size_t parse_head(const std::string& raw, int& status,
   return head_end + 4;
 }
 
-/// De-chunk `input` (a complete chunked body) into `out`; false when the
-/// stream is malformed or incomplete.
-bool dechunk_all(std::string_view input, std::string& out) {
+/// De-chunk the chunked body at the front of `input` into `out` (which it
+/// overwrites). Returns the bytes the body spans through its final blank
+/// line, 0 while it is incomplete, npos when it is malformed.
+std::size_t dechunk(std::string_view input, std::string& out) {
+  out.clear();
   std::size_t pos = 0;
   for (;;) {
     const std::size_t eol = input.find("\r\n", pos);
-    if (eol == std::string_view::npos) return false;
+    if (eol == std::string_view::npos) return 0;
     const std::string size_line(input.substr(pos, eol - pos));
     char* end = nullptr;
     const unsigned long long size = std::strtoull(size_line.c_str(), &end, 16);
-    if (end == size_line.c_str()) return false;
+    if (end == size_line.c_str()) return std::string_view::npos;
     pos = eol + 2;
-    if (size == 0) return true;
-    if (input.size() - pos < size + 2) return false;
+    if (size == 0) break;
+    if (input.size() - pos < size + 2) return 0;
     out.append(input.substr(pos, size));
     pos += size + 2;  // chunk + trailing CRLF
   }
+  // No trailers: the blank line follows the last chunk.
+  if (input.size() - pos < 2) return 0;
+  return input.compare(pos, 2, "\r\n") == 0 ? pos + 2
+                                             : std::string_view::npos;
+}
+
+/// Append what one recv() returns to `raw`: the byte count, 0 at EOF, -1 on
+/// error.
+ssize_t recv_some(int fd, std::string& raw) {
+  char chunk[16384];
+  for (;;) {
+    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+    if (n < 0 && errno == EINTR) continue;
+    if (n > 0) raw.append(chunk, static_cast<std::size_t>(n));
+    return n;
+  }
+}
+
+/// One request/response exchange on an open connection.
+struct Exchange {
+  Status status;
+  bool response_started = false;  // some response byte arrived
+  bool reusable = false;          // the connection can carry another request
+};
+
+/// Send `request` on `fd` and read one complete response, framed by its
+/// Content-Length or by its terminal chunk.
+Exchange exchange(int fd, const std::string& request,
+                  ClientResponse& response) {
+  Exchange out;
+  if (!send_all(fd, request)) {
+    out.status = io_error("send failed");
+    return out;
+  }
+  std::string raw;
+  std::size_t body_start = std::string::npos;
+  while ((body_start = parse_head(raw, response.status, response.headers)) ==
+         std::string::npos) {
+    const ssize_t n = recv_some(fd, raw);
+    out.response_started = !raw.empty();
+    if (n <= 0) {
+      out.status = out.response_started
+                       ? parse_error("response headers never completed")
+                       : io_error("connection closed before a response");
+      return out;
+    }
+  }
+  const auto header = [&](const char* key) {
+    const auto it = response.headers.find(key);
+    return it == response.headers.end() ? std::string() : it->second;
+  };
+  bool complete = false;
+  if (header("transfer-encoding") == "chunked") {
+    for (;;) {
+      const std::size_t span = dechunk(
+          std::string_view(raw).substr(body_start), response.body);
+      if (span == std::string_view::npos) {
+        out.status = parse_error("malformed chunked body");
+        return out;
+      }
+      if (span > 0) {
+        complete = body_start + span == raw.size();
+        break;
+      }
+      if (recv_some(fd, raw) <= 0) {
+        out.status = parse_error("malformed chunked body");
+        return out;
+      }
+    }
+  } else {
+    const std::string length = header("content-length");
+    char* end = nullptr;
+    const unsigned long long size = std::strtoull(length.c_str(), &end, 10);
+    if (end == length.c_str() || *end != '\0') {
+      out.status = parse_error("bad content length '" + length + "'");
+      return out;
+    }
+    while (raw.size() - body_start < size) {
+      if (recv_some(fd, raw) <= 0) {
+        out.status = io_error("connection closed mid-body");
+        return out;
+      }
+    }
+    response.body.assign(raw, body_start, static_cast<std::size_t>(size));
+    complete = body_start + size == raw.size();
+  }
+  // Stray bytes past the response would misframe the next one: reuse only
+  // a connection that ended exactly at a framed response.
+  const std::string connection = header("connection");
+  out.reusable = complete && connection.find("close") == std::string::npos;
+  return out;
+}
+
+/// Park a finished connection for the next call, or close it.
+Result<ClientResponse> finish(int fd, std::uint16_t port,
+                              const Exchange& result,
+                              ClientResponse response) {
+  if (result.status.ok() && result.reusable) {
+    t_idle.keep(fd, port);
+  } else {
+    ::close(fd);
+  }
+  if (!result.status.ok()) return result.status;
+  return response;
 }
 
 }  // namespace
@@ -122,44 +270,25 @@ Result<ClientResponse> http_call(std::uint16_t port, const std::string& method,
                                  const std::string& target,
                                  std::string_view body,
                                  const std::string& content_type) {
+  const std::string request = request_text(method, target, body, content_type);
+  if (const int idle = t_idle.take(port); idle >= 0) {
+    ClientResponse response;
+    const Exchange reused = exchange(idle, request, response);
+    // A kept connection that fails before any response byte was closed by
+    // the server while idle (its deadline, or a restart) without reading
+    // the request, so one retry on a fresh connection cannot submit it
+    // twice. After a response byte, the failure is the caller's.
+    if (reused.status.ok() || reused.response_started)
+      return finish(idle, port, reused, std::move(response));
+    ::close(idle);
+  }
   const int fd = connect_loopback(port);
   if (fd < 0)
     return io_error("connect to 127.0.0.1:" + std::to_string(port) + ": " +
                     std::strerror(errno));
-  if (!send_all(fd, request_text(method, target, body, content_type))) {
-    ::close(fd);
-    return io_error("send failed");
-  }
-  // Connection: close — the response is everything until EOF.
-  std::string raw;
-  char chunk[4096];
-  for (;;) {
-    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return io_error("recv failed");
-    }
-    if (n == 0) break;
-    raw.append(chunk, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-
   ClientResponse response;
-  const std::size_t body_start =
-      parse_head(raw, response.status, response.headers);
-  if (body_start == std::string::npos)
-    return parse_error("response headers never completed");
-  const std::string_view payload =
-      std::string_view(raw).substr(body_start);
-  const auto te = response.headers.find("transfer-encoding");
-  if (te != response.headers.end() && te->second == "chunked") {
-    if (!dechunk_all(payload, response.body))
-      return parse_error("malformed chunked body");
-  } else {
-    response.body.assign(payload);
-  }
-  return response;
+  const Exchange result = exchange(fd, request, response);
+  return finish(fd, port, result, std::move(response));
 }
 
 // ------------------------------------------------------------ SseClient ---

@@ -1,7 +1,8 @@
 // Minimal blocking HTTP/1.1 client for the extraction wire API — the
 // counterpart of server/http.hpp, used by the loopback tests, the server
-// bench, and csd_tool's client mode. Loopback only (127.0.0.1), one
-// request per connection, dependency-free.
+// bench, and csd_tool's client mode. Loopback only (127.0.0.1),
+// dependency-free. http_call keeps the connection open after a response
+// and reuses it for the calling thread's next call to the same port.
 #pragma once
 
 #include "common/status.hpp"
@@ -21,8 +22,14 @@ struct ClientResponse {
 };
 
 /// One request against 127.0.0.1:port. Reads the full response (including
-/// de-chunking a chunked body). Fails with kIoError on connect/socket
-/// trouble and kParseError on a malformed response.
+/// de-chunking a chunked body). Each calling thread keeps one idle
+/// connection, which the next call to the same port reuses. If a reused
+/// connection fails before any response byte arrives (the server closed it
+/// while idle, or stopped), the request is sent once more on a fresh
+/// connection; a live server closes a connection only between requests,
+/// so it never runs one twice.
+/// Fails with kIoError on connect/socket trouble and kParseError on a
+/// malformed response.
 [[nodiscard]] Result<ClientResponse> http_call(
     std::uint16_t port, const std::string& method, const std::string& target,
     std::string_view body = {},

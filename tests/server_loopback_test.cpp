@@ -4,6 +4,9 @@
 // end with a done frame; a client disconnect mid-stream cancels the job;
 // admission sheds as HTTP 503; /stats serves the queue counters; and the
 // server starts/stops cleanly with streams open (ASan watches the joins).
+// ServerKeepAliveTest covers persistent connections: several requests per
+// connection, when the server closes, the client's one retry on a stale
+// kept connection, the idle deadline, and reaping of finished threads.
 #include "server/extraction_server.hpp"
 #include "server/http_client.hpp"
 #include "wire/json.hpp"
@@ -12,7 +15,15 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -418,6 +429,226 @@ TEST(ServerLoopbackTest, StopWithALiveStreamJoinsCleanly) {
   server->stop();  // also cancels nothing by itself — but the stream dies...
   server.reset();  // ...and the destructor drains the queue.
   SUCCEED();
+}
+
+// ------------------------------------------------ persistent connections ---
+
+/// An HttpServer answering every request with "ok" and counting the
+/// connections it served (each has its own thread, so a connection's first
+/// request is the first its thread handles).
+class EchoServer {
+ public:
+  EchoServer()
+      : server_([this](const HttpRequest& request, ResponseWriter& writer) {
+          thread_local std::size_t handled_on_this_thread = 0;
+          if (handled_on_this_thread++ == 0) ++connections_;
+          writer.send(200, "text/plain", "ok " + request.path + "\n");
+        }) {}
+
+  Status start(std::uint16_t port = 0) { return server_.start(port); }
+  void stop() { server_.stop(); }
+  std::uint16_t port() const { return server_.port(); }
+  std::size_t connections_served() const { return connections_.load(); }
+
+ private:
+  std::atomic<std::size_t> connections_{0};
+  HttpServer server_;  // last: its threads use the members above
+};
+
+int connect_raw(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (fd >= 0 &&
+      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) ==
+          0)
+    return fd;
+  if (fd >= 0) ::close(fd);
+  return -1;
+}
+
+/// Send `text` on a fresh connection and read until the server closes it.
+std::string raw_exchange(std::uint16_t port, std::string_view text) {
+  const int fd = connect_raw(port);
+  EXPECT_GE(fd, 0);
+  if (fd < 0) return {};
+  EXPECT_EQ(::send(fd, text.data(), text.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(text.size()));
+  std::string out;
+  char chunk[4096];
+  for (;;) {
+    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+    if (n <= 0) break;
+    out.append(chunk, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  return out;
+}
+
+std::size_t count_of(const std::string& text, std::string_view needle) {
+  std::size_t count = 0;
+  for (std::size_t pos = text.find(needle); pos != std::string::npos;
+       pos = text.find(needle, pos + 1))
+    ++count;
+  return count;
+}
+
+/// A numeric /proc/self/status field ("Threads", "VmSize" in kB).
+long proc_status(const std::string& key) {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind(key + ":", 0) == 0)
+      return std::strtol(line.c_str() + key.size() + 1, nullptr, 10);
+  ADD_FAILURE() << "no " << key << " in /proc/self/status";
+  return -1;
+}
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+TEST(ServerKeepAliveTest, TwoRequestsOnOneConnectionGetTwoResponses) {
+  EchoServer server;
+  ASSERT_TRUE(server.start().ok());
+  // Both requests in one write: the bytes past the first request's body
+  // must be kept as the start of the second.
+  const std::string replies = raw_exchange(
+      server.port(),
+      "POST /first HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello"
+      "GET /second HTTP/1.1\r\nConnection: close\r\n\r\n");
+  EXPECT_EQ(count_of(replies, "HTTP/1.1 200 OK\r\n"), 2u) << replies;
+  const std::size_t second = replies.find("ok /second\n");
+  ASSERT_NE(second, std::string::npos) << replies;
+  EXPECT_LT(replies.find("ok /first\n"), second) << replies;
+  EXPECT_EQ(replies.substr(second), "ok /second\n");
+  EXPECT_EQ(server.connections_served(), 1u);
+}
+
+TEST(ServerKeepAliveTest, ConnectionCloseAndHttp10AreAnsweredWithClose) {
+  EchoServer server;
+  ASSERT_TRUE(server.start().ok());
+  // raw_exchange reads to EOF, so returning at all means the server closed.
+  for (const char* request :
+       {"GET /a HTTP/1.1\r\nConnection: close\r\n\r\n",
+        "GET /a HTTP/1.1\r\nConnection: Keep-Alive, CLOSE\r\n\r\n",
+        "GET /a HTTP/1.0\r\n\r\n"}) {
+    const std::string reply = raw_exchange(server.port(), request);
+    EXPECT_EQ(count_of(reply, "HTTP/1.1 200 OK\r\n"), 1u) << request;
+    EXPECT_NE(reply.find("Connection: close\r\n"), std::string::npos)
+        << reply;
+  }
+}
+
+TEST(ServerKeepAliveTest, ChunkedRequestBodyIsRejectedAndClosed) {
+  EchoServer server;
+  ASSERT_TRUE(server.start().ok());
+  // Were the chunk read as the next request, a second response would come.
+  const std::string reply = raw_exchange(
+      server.port(),
+      "POST /a HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+      "13\r\nGET /b HTTP/1.1\r\n\r\n\r\n0\r\n\r\n");
+  EXPECT_EQ(reply.rfind("HTTP/1.1 400 Bad Request\r\n", 0), 0u) << reply;
+  EXPECT_EQ(count_of(reply, "HTTP/1.1 "), 1u) << reply;
+  EXPECT_NE(reply.find("Connection: close\r\n"), std::string::npos) << reply;
+}
+
+TEST(ServerKeepAliveTest, SequentialCallsReuseOneConnectionWithoutStalls) {
+  EchoServer server;
+  ASSERT_TRUE(server.start().ok());
+  // A Nagle/delayed-ACK stall costs ~40 ms per round trip: 50 calls would
+  // take 2 s. Unstalled loopback round trips are well under 1 ms.
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < 50; ++i) {
+    Result<ClientResponse> response =
+        http_call(server.port(), i % 2 ? "GET" : "POST", "/n", "body");
+    ASSERT_TRUE(response.ok()) << response.status().message();
+    EXPECT_EQ(response.value().body, "ok /n\n");
+  }
+  EXPECT_LT(seconds_since(t0), 1.0);
+  EXPECT_EQ(server.connections_served(), 1u);
+}
+
+TEST(ServerKeepAliveTest, ReusedConnectionToARestartedServerRetriesOnce) {
+  std::uint16_t port = 0;
+  {
+    EchoServer first;
+    ASSERT_TRUE(first.start().ok());
+    port = first.port();
+    ASSERT_TRUE(http_call(port, "GET", "/x").ok());  // parks a connection
+  }  // stop() closes the parked connection under the client
+  EchoServer second;
+  ASSERT_TRUE(second.start(port).ok());
+  Result<ClientResponse> response = http_call(port, "GET", "/y");
+  ASSERT_TRUE(response.ok()) << response.status().message();
+  EXPECT_EQ(response.value().body, "ok /y\n");
+}
+
+TEST(ServerKeepAliveTest, PostsOverReusedConnectionsAreSubmittedOnce) {
+  ExtractionServer server;
+  ASSERT_TRUE(server.start().ok());
+  constexpr std::size_t kPosts = 8;
+  std::vector<std::size_t> ids;
+  for (std::size_t i = 0; i < kPosts; ++i)
+    ids.push_back(submit(server.port(), device_wire_request()));
+  for (const std::size_t id : ids) ASSERT_NE(id, kBadJobId);
+  server.queue().wait_all();
+  Result<ClientResponse> stats = http_call(server.port(), "GET", "/v1/stats");
+  ASSERT_TRUE(stats.ok());
+  Result<wire::JsonValue> doc = wire::parse_json(stats.value().body);
+  ASSERT_TRUE(doc.ok()) << stats.value().body;
+  EXPECT_EQ(doc.value().find("submitted")->as_u64(), kPosts);
+  EXPECT_EQ(doc.value().find("completed")->as_u64(), kPosts);
+}
+
+TEST(ServerKeepAliveTest, StopWithAnIdleKeptConnectionReturnsPromptly) {
+  EchoServer server;
+  ASSERT_TRUE(server.start().ok());
+  ASSERT_TRUE(http_call(server.port(), "GET", "/x").ok());  // now idle
+  const auto t0 = std::chrono::steady_clock::now();
+  server.stop();
+  EXPECT_LT(seconds_since(t0), 0.2 * HttpServer::kIdleTimeoutSeconds);
+}
+
+TEST(ServerKeepAliveTest, IdleConnectionsCloseAtTheDeadlineAndClientsRetry) {
+  EchoServer server;
+  ASSERT_TRUE(server.start().ok());
+  const int idle = connect_raw(server.port());
+  ASSERT_GE(idle, 0);
+  ASSERT_TRUE(http_call(server.port(), "GET", "/x").ok());  // parked
+  const auto t0 = std::chrono::steady_clock::now();
+  char byte = 0;
+  EXPECT_EQ(::recv(idle, &byte, 1, 0), 0);  // the server's idle close
+  const double waited = seconds_since(t0);
+  ::close(idle);
+  EXPECT_GT(waited, 0.5 * HttpServer::kIdleTimeoutSeconds);
+  EXPECT_LT(waited, 2.0 * HttpServer::kIdleTimeoutSeconds);
+  // The parked client connection has passed its deadline too.
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  Result<ClientResponse> response = http_call(server.port(), "GET", "/y");
+  ASSERT_TRUE(response.ok()) << response.status().message();
+  EXPECT_EQ(response.value().body, "ok /y\n");
+  EXPECT_EQ(server.connections_served(), 2u);
+}
+
+TEST(ServerKeepAliveTest, ClosedConnectionThreadsAreReaped) {
+  EchoServer server;
+  ASSERT_TRUE(server.start().ok());
+  const long threads0 = proc_status("Threads");
+  const long vm0 = proc_status("VmSize");
+  for (int i = 0; i < 500; ++i) {
+    const std::string reply = raw_exchange(
+        server.port(), "GET /x HTTP/1.1\r\nConnection: close\r\n\r\n");
+    ASSERT_EQ(reply.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << reply;
+  }
+  EXPECT_EQ(server.connections_served(), 500u);
+  // An exited thread leaves /proc's count at once, but until it is joined
+  // its stack stays mapped: 500 unjoined threads would add ~4 GB of VmSize.
+  EXPECT_LE(proc_status("Threads"), threads0 + 4);
+  EXPECT_LT(proc_status("VmSize") - vm0, 256L * 1024);
 }
 
 }  // namespace
