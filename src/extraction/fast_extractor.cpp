@@ -26,11 +26,11 @@ FastExtractionResult run_fast_extraction(CurrentSource& source,
   cache.reserve((x_axis.count() + y_axis.count()) * 8);
 
   // One acquisition lane for the whole job, wrapped around the cache: an
-  // InstrumentDriver when the job models a transport (one driver thread per
-  // job, its stats flushed into context.faults when the lane is destroyed),
-  // the SyncSourceAdapter — call-for-call the pre-driver path — otherwise.
-  // Every stage drains the lane before returning, so the cache statistics
-  // finish() reads are quiescent.
+  // InstrumentDriver when the job models a transport (its ring runs on this
+  // thread, its stats flushed into context.faults when the lane is
+  // destroyed), the SyncSourceAdapter — call-for-call the pre-driver path —
+  // otherwise. Every stage waits or aborts its batches before returning, so
+  // the cache statistics finish() reads cover every executed batch.
   std::optional<InstrumentDriver> driver;
   std::optional<SyncSourceAdapter> adapter;
   AsyncCurrentSource* lane = nullptr;

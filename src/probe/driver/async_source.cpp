@@ -1,10 +1,13 @@
 #include "probe/driver/async_source.hpp"
 
+#include "common/assert.hpp"
+#include "probe/driver/instrument_driver.hpp"
+
 namespace qvg {
 
 const BatchCompletion& CompletionHandle::wait() const {
-  std::unique_lock lock(state_->mutex);
-  state_->cv.wait(lock, [&] { return state_->done; });
+  QVG_EXPECTS(valid());
+  if (!state_->done) state_->owner->run_through(*state_);
   return state_->completion;
 }
 

@@ -16,21 +16,22 @@
 //     FaultInjectingCurrentSource) runs unchanged behind it, call for call
 //     and bit for bit identical to the pre-driver loops. This is the default
 //     lane (TransportOptions::io_depth == 0).
-//   * InstrumentDriver (instrument_driver.hpp) — a dedicated driver thread
-//     owning a bounded request ring and a simulated transport, for jobs
-//     that model a slow link (io_depth >= 1).
+//   * InstrumentDriver (instrument_driver.hpp) — a bounded request ring and
+//     a simulated transport for jobs that model a slow link (io_depth >= 1).
+//     Queued batches run on the caller's thread, oldest first, when a
+//     handle is waited, on drain(), or when a full ring takes a submit.
 #pragma once
 
 #include "probe/acquisition_context.hpp"
 #include "probe/current_source.hpp"
 #include "probe/retry_policy.hpp"
 
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <span>
 
 namespace qvg {
+
+class InstrumentDriver;
 
 /// One finished transfer. `outcome` is exactly what probe_with_retry
 /// returned for the batch; `probes_after` is the driving source's
@@ -42,17 +43,18 @@ struct BatchCompletion {
 };
 
 /// Waitable handle on one submitted batch (shared-state, copyable). A
-/// default-constructed handle is invalid; wait() on it is a programming
-/// error guarded by valid().
+/// default-constructed handle is invalid; wait() on it throws
+/// ContractViolation. Handles belong to the thread that submitted them.
 class CompletionHandle {
  public:
   CompletionHandle() = default;
 
   [[nodiscard]] bool valid() const noexcept { return state_ != nullptr; }
 
-  /// Block until the batch completes (immediately for the sync adapter) and
-  /// return the completion. The reference stays valid for the handle's
-  /// lifetime; repeated calls return the same completion.
+  /// Complete the batch and return its completion: immediately for the sync
+  /// adapter, otherwise by running the owning driver's ring through this
+  /// batch. The reference stays valid for the handle's lifetime; repeated
+  /// calls return the same completion.
   [[nodiscard]] const BatchCompletion& wait() const;
 
  private:
@@ -60,10 +62,11 @@ class CompletionHandle {
   friend class InstrumentDriver;
 
   struct State {
-    std::mutex mutex;
-    std::condition_variable cv;
     bool done = false;
     BatchCompletion completion;
+    /// The driver whose ring holds the batch while it is pending; null once
+    /// done.
+    InstrumentDriver* owner = nullptr;
   };
 
   explicit CompletionHandle(std::shared_ptr<State> state)
@@ -82,20 +85,18 @@ class AsyncCurrentSource {
 
   /// Submit one batch. `points` and `out` must stay valid (and `out` must
   /// not be written by the caller) until the returned handle's completion
-  /// has been waited. Blocks only when depth() batches are already in
-  /// flight (ring backpressure).
+  /// has been waited. When depth() batches are already in flight, the
+  /// oldest one completes first (ring backpressure).
   [[nodiscard]] virtual CompletionHandle submit(
       std::span<const Point2> points, std::span<double> out,
       const AcquisitionContext& context, const char* stage) = 0;
 
   /// Abort everything currently in flight: queued batches complete with
-  /// kCancelled without executing, and an in-flight wall-clock transfer is
-  /// interrupted at its next poll. Later submissions run normally.
+  /// kCancelled without executing. Later submissions run normally.
   virtual void abort_inflight() = 0;
 
-  /// Block until no batch is queued or executing. After drain() the inner
-  /// source is quiescent: reading its probe_count(), clock, or cache
-  /// statistics from the calling thread is safe.
+  /// Complete every queued batch, oldest first. After drain() nothing is in
+  /// flight and probes_completed() is the source's current probe count.
   virtual void drain() = 0;
 
   /// Maximum batches in flight at once (1 for the sync adapter).

@@ -1,10 +1,12 @@
 #include "probe/driver/instrument_driver.hpp"
 
+#include "common/assert.hpp"
 #include "common/error.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <thread>
 #include <utility>
-#include <vector>
 
 namespace qvg {
 
@@ -17,6 +19,10 @@ Status aborted_status(const char* stage) {
                          "transfer aborted at the driver boundary");
 }
 
+bool finite_non_negative(double value) {
+  return std::isfinite(value) && value >= 0.0;
+}
+
 }  // namespace
 
 InstrumentDriver::InstrumentDriver(CurrentSource& source,
@@ -25,33 +31,16 @@ InstrumentDriver::InstrumentDriver(CurrentSource& source,
     : source_(source), transport_(transport), recorder_(std::move(recorder)) {
   if (transport_.io_depth < 1)
     throw ContractViolation("InstrumentDriver requires io_depth >= 1");
-  if (transport_.latency_us < 0.0 || transport_.bandwidth < 0.0)
-    throw ContractViolation("InstrumentDriver transport must be non-negative");
+  if (!finite_non_negative(transport_.latency_us) ||
+      !finite_non_negative(transport_.bandwidth))
+    throw ContractViolation(
+        "InstrumentDriver transport must be finite and non-negative");
   last_probes_ = source_.probe_count();
   link_free_at_ = WallClock::now();
-  thread_ = std::thread([this] { run(); });
 }
 
 InstrumentDriver::~InstrumentDriver() {
-  std::vector<Request> orphans;
-  {
-    std::lock_guard lock(mutex_);
-    stop_ = true;
-    ++abort_epoch_;  // interrupt an in-flight wall-clock transfer
-    while (!ring_.empty()) {
-      orphans.push_back(std::move(ring_.front()));
-      ring_.pop_front();
-    }
-    stats_.aborted_transfers += static_cast<long>(orphans.size());
-    cv_worker_.notify_all();
-    cv_submit_.notify_all();
-  }
-  for (Request& request : orphans) {
-    BatchCompletion completion;
-    completion.outcome.status = aborted_status(request.stage);
-    fulfil(request.state, std::move(completion));
-  }
-  thread_.join();
+  abort_inflight();
   if (recorder_.active()) {
     recorder_.record_driver(stats_.batches, stats_.aborted_transfers,
                             stats_.max_inflight, stats_.transport_seconds);
@@ -64,67 +53,75 @@ CompletionHandle InstrumentDriver::submit(std::span<const Point2> points,
                                           const char* stage) {
   if (points.size() != out.size())
     throw ContractViolation("InstrumentDriver::submit: span size mismatch");
+  // Ring backpressure: a full ring runs its oldest batch to free a slot.
+  if (static_cast<long>(ring_.size()) >= transport_.io_depth) run_oldest();
   auto state = std::make_shared<CompletionHandle::State>();
-  CompletionHandle handle{state};
-  Request request;
-  request.points = points;
-  request.out = out;
-  request.context = &context;
-  request.stage = stage;
-  request.state = std::move(state);
-  {
-    std::unique_lock lock(mutex_);
-    cv_submit_.wait(lock, [&] {
-      return stop_ || inflight_locked() < transport_.io_depth;
-    });
-    if (stop_) {
-      BatchCompletion completion;
-      completion.outcome.status = aborted_status(stage);
-      fulfil(request.state, std::move(completion));
-      return handle;
-    }
-    request.epoch = abort_epoch_;
-    request.submitted_at = WallClock::now();
-    ring_.push_back(std::move(request));
-    stats_.max_inflight = std::max(stats_.max_inflight, inflight_locked());
-    cv_worker_.notify_one();
-  }
-  return handle;
-}
-
-void InstrumentDriver::abort_inflight() {
-  std::vector<Request> aborted;
-  {
-    std::lock_guard lock(mutex_);
-    ++abort_epoch_;
-    while (!ring_.empty()) {
-      aborted.push_back(std::move(ring_.front()));
-      ring_.pop_front();
-    }
-    stats_.aborted_transfers += static_cast<long>(aborted.size());
-    cv_submit_.notify_all();
-    cv_idle_.notify_all();
-  }
-  for (Request& request : aborted) {
-    BatchCompletion completion;
-    completion.outcome.status = aborted_status(request.stage);
-    fulfil(request.state, std::move(completion));
-  }
+  state->owner = this;
+  ring_.push_back(
+      Request{points, out, &context, stage, state, WallClock::now()});
+  stats_.max_inflight =
+      std::max(stats_.max_inflight, static_cast<long>(ring_.size()));
+  return CompletionHandle(std::move(state));
 }
 
 void InstrumentDriver::drain() {
-  std::unique_lock lock(mutex_);
-  cv_idle_.wait(lock, [&] { return ring_.empty() && !executing_; });
+  while (!ring_.empty()) run_oldest();
 }
 
-long InstrumentDriver::probes_completed() const {
-  std::lock_guard lock(mutex_);
-  return last_probes_;
+void InstrumentDriver::run_through(const CompletionHandle::State& state) {
+  while (!state.done) {
+    QVG_ASSERT(!ring_.empty());
+    run_oldest();
+  }
 }
 
-DriverStats InstrumentDriver::stats() const {
-  std::lock_guard lock(mutex_);
-  return stats_;
+void InstrumentDriver::abort_inflight() {
+  stats_.aborted_transfers += static_cast<long>(ring_.size());
+  for (Request& request : ring_) {
+    BatchCompletion completion;
+    completion.outcome.status = aborted_status(request.stage);
+    fulfil(*request.state, std::move(completion));
+  }
+  ring_.clear();
+}
+
+void InstrumentDriver::fulfil(CompletionHandle::State& state,
+                              BatchCompletion completion) {
+  state.completion = std::move(completion);
+  state.done = true;
+  state.owner = nullptr;
+}
+
+void InstrumentDriver::run_oldest() {
+  Request request = std::move(ring_.front());
+  ring_.pop_front();
+
+  BatchCompletion completion;
+  completion.outcome = probe_with_retry(source_, request.points, request.out,
+                                        *request.context, request.stage);
+  last_probes_ = source_.probe_count();
+  ++stats_.batches;
+  if (completion.outcome.ok()) {
+    completion.probes_after = last_probes_;
+    // Per-batch transport charge: order-independent, so the simulated
+    // total is identical at any io_depth.
+    double charged_s = transport_.latency_us * 1e-6;
+    if (transport_.bandwidth > 0.0)
+      charged_s +=
+          static_cast<double>(request.points.size()) / transport_.bandwidth;
+    source_.clock().charge(charged_s);
+    stats_.transport_seconds += charged_s;
+    if (Status waited = wall_wait(request); !waited.ok()) {
+      // The probes already executed (results are in `out`), but the
+      // transfer was abandoned mid-flight: report the interruption and let
+      // the consumer discard the batch.
+      ++stats_.aborted_transfers;
+      completion.outcome = ProbeOutcome{};
+      completion.outcome.status = std::move(waited);
+      completion.probes_after = 0;
+    }
+  }
+  fulfil(*request.state, std::move(completion));
 }
 
 Status InstrumentDriver::wall_wait(const Request& request) {
@@ -138,27 +135,19 @@ Status InstrumentDriver::wall_wait(const Request& request) {
           : 0.0;
   const auto transfer =
       std::chrono::duration_cast<WallClock::duration>(Seconds(transfer_s));
-  // Command latency runs from submission (overlapped across in-flight
+  // Command latency runs from submission (overlapped across queued
   // batches); the data transfer serializes on the link.
   const auto start = std::max(link_free_at_, request.submitted_at + latency);
   const auto end = start + transfer;
   for (;;) {
     const auto now = WallClock::now();
     if (now >= end) break;
-    {
-      std::lock_guard lock(mutex_);
-      if (abort_epoch_ != request.epoch) {
-        link_free_at_ = now;
-        return aborted_status(request.stage);
-      }
-    }
     if (request.context->cancel.cancelled()) {
       link_free_at_ = now;
       return Status::failure(ErrorCode::kCancelled, request.stage,
                              "cancelled during in-flight transfer");
     }
-    if (request.context->deadline &&
-        std::chrono::steady_clock::now() >= *request.context->deadline) {
+    if (request.context->deadline && now >= *request.context->deadline) {
       link_free_at_ = now;
       return Status::failure(ErrorCode::kDeadlineExceeded, request.stage,
                              "deadline passed during in-flight transfer");
@@ -168,77 +157,6 @@ Status InstrumentDriver::wall_wait(const Request& request) {
   }
   link_free_at_ = end;
   return {};
-}
-
-void InstrumentDriver::run() {
-  std::unique_lock lock(mutex_);
-  for (;;) {
-    cv_worker_.wait(lock, [&] { return stop_ || !ring_.empty(); });
-    if (ring_.empty()) return;  // stop_ set and nothing left to fail
-    Request request = std::move(ring_.front());
-    ring_.pop_front();
-    executing_ = true;
-    const bool aborted_before_execute = abort_epoch_ != request.epoch;
-    lock.unlock();
-
-    BatchCompletion completion;
-    bool executed = false;
-    bool transfer_aborted = false;
-    double charged_s = 0.0;
-    if (aborted_before_execute) {
-      completion.outcome.status = aborted_status(request.stage);
-    } else {
-      completion.outcome = probe_with_retry(source_, request.points,
-                                            request.out, *request.context,
-                                            request.stage);
-      executed = true;
-      if (completion.outcome.ok()) {
-        completion.probes_after = source_.probe_count();
-        // Per-batch transport charge: order-independent, so the simulated
-        // total is identical at any io_depth.
-        charged_s = transport_.latency_us * 1e-6;
-        if (transport_.bandwidth > 0.0)
-          charged_s +=
-              static_cast<double>(request.points.size()) / transport_.bandwidth;
-        source_.clock().charge(charged_s);
-        if (Status waited = wall_wait(request); !waited.ok()) {
-          // The probes already executed (results are in `out`), but the
-          // transfer was abandoned mid-flight: report the interruption and
-          // let the consumer discard the batch.
-          transfer_aborted = true;
-          completion.outcome = ProbeOutcome{};
-          completion.outcome.status = std::move(waited);
-          completion.probes_after = 0;
-        }
-      }
-    }
-
-    lock.lock();
-    if (executed) {
-      last_probes_ = source_.probe_count();
-      ++stats_.batches;
-      stats_.transport_seconds += charged_s;
-    }
-    if (transfer_aborted || !executed) ++stats_.aborted_transfers;
-    executing_ = false;
-    cv_submit_.notify_all();
-    cv_idle_.notify_all();
-    lock.unlock();
-
-    fulfil(request.state, std::move(completion));
-    lock.lock();
-  }
-}
-
-void InstrumentDriver::fulfil(
-    const std::shared_ptr<CompletionHandle::State>& state,
-    BatchCompletion completion) {
-  {
-    std::lock_guard guard(state->mutex);
-    state->completion = std::move(completion);
-    state->done = true;
-  }
-  state->cv.notify_all();
 }
 
 }  // namespace qvg

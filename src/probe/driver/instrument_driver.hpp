@@ -1,38 +1,40 @@
-// InstrumentDriver: a dedicated driver thread owning a bounded request ring
-// and a simulated transport, behind the AsyncCurrentSource interface.
+// InstrumentDriver: a bounded request ring and a simulated transport, behind
+// the AsyncCurrentSource interface, executed on the caller's own thread.
 //
 // The shape is a DMA device driver. submit() posts a transfer descriptor
 // into a fixed-capacity ring (capacity = TransportOptions::io_depth) and
-// returns a CompletionHandle; the driver thread pops descriptors in order,
-// executes each batch against the inner CurrentSource through
-// probe_with_retry, charges the transport cost, and fulfils the completion.
-// Because one thread executes everything serially in submission order, the
-// probe traffic the inner source sees — order, counts, retries, cache hits —
-// is identical to the synchronous loops', which is what keeps pipelined
-// acquisition bit-identical to the SyncSourceAdapter lane.
+// returns a CompletionHandle. Queued descriptors run oldest first, each
+// batch against the inner CurrentSource through probe_with_retry, charging
+// the transport cost and fulfilling its completion. A batch runs when its
+// handle (or a later one) is waited, on drain(), or when submit() finds the
+// ring full (backpressure runs the oldest batch to free a slot). Execution
+// is therefore serial in submission order, so the probe traffic the inner
+// source sees — order, counts, retries, cache hits — is identical to the
+// synchronous loops', which is what keeps pipelined acquisition
+// bit-identical to the SyncSourceAdapter lane. The driver and its handles
+// belong to the submitting thread.
 //
 // Transport accounting (see TransportOptions): every executed batch charges
 // latency_us + points/bandwidth to the source's SimClock, an
 // order-independent per-batch cost, so simulated_seconds is identical at
 // any io_depth. In wall_clock mode the driver additionally waits the
 // transport out for real: a batch's command latency runs from its submit
-// time (overlapped across in-flight batches), transfers serialize on the
-// link, and the wait polls cancellation/deadline/abort every millisecond —
-// so cancelling a job stops it within one transfer, not one batch loop.
+// time (overlapped across queued batches), transfers serialize on the
+// link, and the wait polls cancellation/deadline every millisecond — so
+// cancelling a job stops it within one transfer, not one batch loop.
 //
-// Shutdown drains the ring: queued descriptors complete with kCancelled
-// without executing, an in-flight wall-clock transfer aborts at its next
-// poll, and the destructor joins the thread before flushing DriverStats
-// into the owning job's FaultRecorder. No completion is ever leaked.
+// abort_inflight() and the destructor fail every queued descriptor with
+// kCancelled without executing it and detach its handle, so a handle waited
+// after its driver is gone never touches the driver. The destructor then
+// flushes DriverStats into the owning job's FaultRecorder. No completion is
+// ever leaked.
 #pragma once
 
 #include "probe/driver/async_source.hpp"
 #include "probe/transport_options.hpp"
 
 #include <chrono>
-#include <cstdint>
 #include <deque>
-#include <thread>
 
 namespace qvg {
 
@@ -42,10 +44,10 @@ struct DriverStats {
   /// Transfers executed to completion (successful or failed by the source).
   long batches = 0;
   /// Transfers aborted at the driver boundary: queued descriptors failed by
-  /// abort_inflight()/shutdown, plus in-flight wall-clock transfers
-  /// interrupted by cancellation, deadline, or abort.
+  /// abort_inflight()/shutdown, plus wall-clock transfers interrupted by
+  /// cancellation or deadline.
   long aborted_transfers = 0;
-  /// Ring occupancy high-water mark (queued + executing).
+  /// Ring occupancy high-water mark.
   long max_inflight = 0;
   /// Nominal transport time charged across all executed batches (seconds):
   /// per-batch command latency plus size/bandwidth transfer time.
@@ -56,9 +58,10 @@ struct DriverStats {
 
 class InstrumentDriver final : public AsyncCurrentSource {
  public:
-  /// `transport.io_depth` must be >= 1. The recorder (typically the job
-  /// context's) receives this driver's DriverStats on destruction; an empty
-  /// recorder discards them.
+  /// `transport.io_depth` must be >= 1 and its latency and bandwidth finite
+  /// and non-negative. The recorder (typically the job context's) receives
+  /// this driver's DriverStats on destruction; an empty recorder discards
+  /// them.
   InstrumentDriver(CurrentSource& source, const TransportOptions& transport,
                    FaultRecorder recorder = {});
   ~InstrumentDriver() override;
@@ -73,12 +76,15 @@ class InstrumentDriver final : public AsyncCurrentSource {
   void abort_inflight() override;
   void drain() override;
   [[nodiscard]] long depth() const override { return transport_.io_depth; }
-  [[nodiscard]] long probes_completed() const override;
+  [[nodiscard]] long probes_completed() const override {
+    return last_probes_;
+  }
 
-  /// Lifetime totals so far (thread-safe snapshot).
-  [[nodiscard]] DriverStats stats() const;
+  /// Lifetime totals so far.
+  [[nodiscard]] DriverStats stats() const { return stats_; }
 
  private:
+  friend class CompletionHandle;
   using WallClock = std::chrono::steady_clock;
 
   struct Request {
@@ -87,39 +93,28 @@ class InstrumentDriver final : public AsyncCurrentSource {
     const AcquisitionContext* context = nullptr;
     const char* stage = "driver";
     std::shared_ptr<CompletionHandle::State> state;
-    std::uint64_t epoch = 0;
     WallClock::time_point submitted_at;
   };
 
-  void run();
-  [[nodiscard]] long inflight_locked() const {
-    return static_cast<long>(ring_.size()) + (executing_ ? 1 : 0);
-  }
+  /// Run queued batches, oldest first, until `state` is done.
+  void run_through(const CompletionHandle::State& state);
+  /// Pop the oldest queued batch, execute it, and fulfil its completion.
+  void run_oldest();
   /// Wall-clock transport wait for one executed batch (no-op in sim mode).
   /// Returns ok, or the typed interruption that aborted the transfer.
   [[nodiscard]] Status wall_wait(const Request& request);
-  static void fulfil(const std::shared_ptr<CompletionHandle::State>& state,
+  static void fulfil(CompletionHandle::State& state,
                      BatchCompletion completion);
 
   CurrentSource& source_;
   const TransportOptions transport_;
   FaultRecorder recorder_;
 
-  mutable std::mutex mutex_;
-  std::condition_variable cv_worker_;  // driver thread: work available / stop
-  std::condition_variable cv_submit_;  // producers: ring slot freed
-  std::condition_variable cv_idle_;    // drain(): ring empty and not executing
   std::deque<Request> ring_;
-  bool executing_ = false;
-  bool stop_ = false;
-  std::uint64_t abort_epoch_ = 0;
   long last_probes_ = 0;
   DriverStats stats_;
-
-  // Driver-thread state: when the serialized link frees up (wall mode).
+  // When the serialized link frees up (wall mode).
   WallClock::time_point link_free_at_{};
-
-  std::thread thread_;
 };
 
 }  // namespace qvg

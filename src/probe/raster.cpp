@@ -218,9 +218,9 @@ Result<Csd> acquire_full_csd(AsyncCurrentSource& driver,
         stop = interrupt;
     }
     // Interrupted with batches still in flight: abort them at the driver
-    // (queued transfers drain without executing, an in-flight wall-clock
-    // transfer stops at its next poll) and keep consuming until the ring is
-    // empty. The first failure wins; aborted completions are discarded.
+    // (queued transfers fail without executing) and keep consuming until
+    // the ring is empty. The first failure wins; aborted completions are
+    // discarded.
     if (!stop.ok() && completed < submitted) driver.abort_inflight();
   }
   if (!stop.ok()) return stop;

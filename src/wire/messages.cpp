@@ -3,6 +3,7 @@
 #include "common/random.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <utility>
 
 namespace qvg::wire {
@@ -905,10 +906,12 @@ Result<MaterializedRequest> materialize(const WireRequest& wire) {
     return invalid("transport io_depth must be >= 0");
   if (wire.transport.io_depth > 256)
     return invalid("transport io_depth above the service bound 256");
-  if (wire.transport.latency_us < 0.0)
-    return invalid("transport latency_us must be >= 0");
-  if (wire.transport.bandwidth < 0.0)
-    return invalid("transport bandwidth must be >= 0");
+  if (!(std::isfinite(wire.transport.latency_us) &&
+        wire.transport.latency_us >= 0.0))
+    return invalid("transport latency_us must be finite and >= 0");
+  if (!(std::isfinite(wire.transport.bandwidth) &&
+        wire.transport.bandwidth >= 0.0))
+    return invalid("transport bandwidth must be finite and >= 0");
   m.request.transport = wire.transport;
   m.request.label = wire.label;
   return m;

@@ -588,6 +588,31 @@ TEST(WireMaterializeTest, TransportRidesIntoTheEngineRequestAndValidates) {
             ErrorCode::kInvalidRequest);
 }
 
+TEST(WireMaterializeTest, NonFiniteTransportIsRejectedOnBothLanes) {
+  // Both lanes carry NaN and +-inf bit-exact (the JSON lane as "nan"/"inf"
+  // strings), so validation must reject them rather than let them reach
+  // the sim-clock charge or a wall-clock duration_cast.
+  const double non_finite[] = {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()};
+  for (const double value : non_finite) {
+    for (const bool latency_field : {true, false}) {
+      WireRequest request = sample_playback_request();
+      request.transport.io_depth = 4;
+      (latency_field ? request.transport.latency_us
+                     : request.transport.bandwidth) = value;
+      Result<WireRequest> binary = decode_request(encode(request));
+      ASSERT_TRUE(binary.ok()) << binary.status().message();
+      Result<WireRequest> json = request_from_json(to_json(request));
+      ASSERT_TRUE(json.ok()) << json.status().message();
+      for (const WireRequest* decoded : {&binary.value(), &json.value()})
+        EXPECT_EQ(materialize(*decoded).status().code(),
+                  ErrorCode::kInvalidRequest)
+            << value << (latency_field ? " latency_us" : " bandwidth");
+    }
+  }
+}
+
 TEST(WireJsonTest, TransportObjectIsOptionalForOldClients) {
   // A request serialized before PR 10 has no "transport" object; decoding
   // must yield the disabled default (synchronous adapter lane).
