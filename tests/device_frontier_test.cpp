@@ -226,6 +226,49 @@ TEST(FrontierDeterminismTest, TabuSameSeedIsBitIdentical) {
   expect_same_run(FrontierStrategy::kTabu);
 }
 
+// Pins of the annealing walk itself: the accept/reject decisions and RNG
+// draws must stay bit-identical through any rewrite of the acceptance test.
+
+TEST(FrontierDeterminismTest, FrontierProbeTwelveDotsMatchesPin) {
+  // `csd_tool --frontier-probe 12`: every plunger at the window centre.
+  DotArrayParams params;
+  params.n_dots = 12;
+  const BuiltDevice device = build_dot_array(params);
+  std::vector<double> voltages = device.base_voltages;
+  for (auto& v : voltages) v = 0.5 * (params.window_lo + params.window_hi);
+  const auto drives = device.model.dot_drives(voltages);
+  SolveStats stats;
+  const auto occupation =
+      ground_state_frontier(device.model, drives, 4, FrontierOptions{}, &stats);
+  EXPECT_EQ(occupation, std::vector<int>(12, 1));
+  EXPECT_EQ(stats.moves_evaluated, 864u);
+  EXPECT_EQ(stats.moves_accepted, 314u);
+  EXPECT_EQ(stats.restarts, 3u);
+}
+
+TEST(FrontierDeterminismTest, AnnealWalksOnRandomModelsMatchPin) {
+  // Summed counters and an FNV-1a hash of the occupations over random 8-16
+  // dot models with drives across the window.
+  Rng rng(31337);
+  std::uint64_t evaluated = 0, accepted = 0;
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (int trial = 0; trial < 30; ++trial) {
+    const std::size_t n = 8 + static_cast<std::size_t>(trial % 9);
+    const auto model = random_model(n, rng);
+    const auto drives = random_drives(model, rng);
+    FrontierOptions options;
+    options.seed = static_cast<std::uint64_t>(trial) + 1;
+    SolveStats stats;
+    for (const int c : ground_state_anneal(model, drives, 4, options, &stats))
+      hash = (hash ^ static_cast<std::uint64_t>(c)) * 0x100000001b3ULL;
+    evaluated += stats.moves_evaluated;
+    accepted += stats.moves_accepted;
+  }
+  EXPECT_EQ(evaluated, 25272u);
+  EXPECT_EQ(accepted, 5603u);
+  EXPECT_EQ(hash, 3413533565067652398ULL);
+}
+
 TEST(FrontierDeterminismTest, DifferentSeedsSearchDifferently) {
   // Not a correctness requirement on the *result* (both may find the same
   // ground state) but the search itself must consume the seed: over a batch
