@@ -31,6 +31,27 @@ CapacitanceModel::CapacitanceModel(Matrix alpha, std::vector<double> charging,
   }
 }
 
+CapacitanceModel CapacitanceModel::restricted_to(
+    const std::vector<std::size_t>& dots) const {
+  const std::size_t k = dots.size();
+  Matrix alpha(k, num_gates());
+  std::vector<double> charging(k);
+  Matrix mutual(k, k);
+  std::vector<double> offsets(k);
+  for (std::size_t a = 0; a < k; ++a) {
+    QVG_EXPECTS(dots[a] < num_dots());
+    QVG_EXPECTS(a == 0 || dots[a - 1] < dots[a]);
+    for (std::size_t j = 0; j < num_gates(); ++j)
+      alpha(a, j) = alpha_(dots[a], j);
+    charging[a] = charging_[dots[a]];
+    for (std::size_t b = 0; b < k; ++b)
+      mutual(a, b) = mutual_(dots[a], dots[b]);
+    offsets[a] = offsets_[dots[a]];
+  }
+  return CapacitanceModel(std::move(alpha), std::move(charging),
+                          std::move(mutual), std::move(offsets));
+}
+
 std::vector<double> CapacitanceModel::dot_drives(
     const std::vector<double>& gate_voltages) const {
   std::vector<double> drives;

@@ -45,6 +45,12 @@ class CapacitanceModel {
     return offsets_;
   }
 
+  /// The sub-model of the given dots (ascending, distinct, non-empty): their
+  /// lever-arm rows, charging energies, mutual couplings and offsets, in that
+  /// order. Its drives equal the full model's drives of those dots.
+  [[nodiscard]] CapacitanceModel restricted_to(
+      const std::vector<std::size_t>& dots) const;
+
   /// Electrochemical drive mu_i(V) for every dot.
   [[nodiscard]] std::vector<double> dot_drives(
       const std::vector<double>& gate_voltages) const;

@@ -108,6 +108,20 @@ void icm_relax(const CapacitanceModel& model, const std::vector<double>& drives,
   }
 }
 
+/// Metropolis acceptance of a move with energy change `de` at temperature
+/// t, drawing u from `rng` exactly when `de >= 0` (the draw sequence is part
+/// of the seeded walk). Equivalent to `de < 0 || u < exp(-de / t)` without
+/// most exp calls: de == 0 accepts (exp(-0) = 1 > u), and for -de/t < -40,
+/// exp(-de/t) < 4.3e-18 < 2^-53, the smallest positive u, so u > 0 rejects.
+bool metropolis_accept(double de, double t, Rng& rng) {
+  if (de < 0.0) return true;
+  const double u = rng.uniform();
+  if (de == 0.0) return true;
+  const double x = -de / t;
+  if (x < -40.0 && u > 0.0) return false;
+  return u < std::exp(x);
+}
+
 }  // namespace
 
 std::vector<int> ground_state_greedy(const CapacitanceModel& model,
@@ -285,21 +299,43 @@ void DeltaMoveEvaluator::apply_swap(std::size_t a, std::size_t b) {
   apply_single(b, na);
 }
 
-void IncrementalGroundStateSolver::bind(const CapacitanceModel& model) {
-  model_ = &model;
-  n_ = model.num_dots();
+void IncrementalGroundStateSolver::reset_scratch() {
   occupation_.assign(n_, 0);
   best_.assign(n_, 0);
   coupling_.assign(n_, 0.0);
   bound_scratch_.assign(n_, 0.0);
+  q0_.clear();
+  pow_m_.clear();
+}
+
+void IncrementalGroundStateSolver::bind(const CapacitanceModel& model) {
+  model_ = &model;
+  n_ = model.num_dots();
   charging_ = model.charging_energies();
   mutual_flat_.resize(n_ * n_);
   const Matrix& mutual = model.mutual_coupling();
   for (std::size_t i = 0; i < n_; ++i)
     for (std::size_t k = 0; k < n_; ++k)
       mutual_flat_[i * n_ + k] = mutual(i, k);
-  q0_.clear();
-  pow_m_.clear();
+  reset_scratch();
+}
+
+void IncrementalGroundStateSolver::bind(const CapacitanceModel& model,
+                                        std::span<const std::size_t> dots) {
+  QVG_EXPECTS(!dots.empty());
+  model_ = &model;
+  n_ = dots.size();
+  const std::vector<double>& charging = model.charging_energies();
+  const Matrix& mutual = model.mutual_coupling();
+  charging_.resize(n_);
+  mutual_flat_.resize(n_ * n_);
+  for (std::size_t i = 0; i < n_; ++i) {
+    QVG_EXPECTS(dots[i] < model.num_dots());
+    charging_[i] = charging[dots[i]];
+    for (std::size_t k = 0; k < n_; ++k)
+      mutual_flat_[i * n_ + k] = mutual(dots[i], dots[k]);
+  }
+  reset_scratch();
 }
 
 void IncrementalGroundStateSolver::seed_incumbent(
@@ -587,7 +623,7 @@ void StochasticGroundStateSolver::solve_anneal(
           if (b >= a) ++b;
           const double de = eval_.delta_swap(a, b);
           ++stats_.moves_evaluated;
-          if (de < 0.0 || rng.uniform() < std::exp(-de / t)) {
+          if (metropolis_accept(de, t, rng)) {
             eval_.apply_swap(a, b);
             accepted = true;
           }
@@ -599,7 +635,7 @@ void StochasticGroundStateSolver::solve_anneal(
           if (c >= eval_.occupation()[d]) ++c;
           const double de = eval_.delta_single(d, c);
           ++stats_.moves_evaluated;
-          if (de < 0.0 || rng.uniform() < std::exp(-de / t)) {
+          if (metropolis_accept(de, t, rng)) {
             eval_.apply_single(d, c);
             accepted = true;
           }
@@ -782,16 +818,66 @@ std::vector<int> ground_state_tabu(const CapacitanceModel& model,
                                stats);
 }
 
+void active_dots(const CapacitanceModel& model,
+                 const std::vector<double>& drives,
+                 std::vector<std::size_t>& out) {
+  QVG_EXPECTS(drives.size() == model.num_dots());
+  const std::vector<double>& charging = model.charging_energies();
+  out.clear();
+  for (std::size_t i = 0; i < drives.size(); ++i)
+    if (!(drives[i] < 0.5 * charging[i])) out.push_back(i);
+}
+
+void GroundStateSolver::bind(const CapacitanceModel& model) {
+  model_ = &model;
+  const std::size_t n = model.num_dots();
+  occupation_.assign(n, 0);
+  active_.reserve(n);
+  active_drives_.reserve(n);
+  // Both solvers bind lazily: exact_ rebinds per probe above the limit, and
+  // frontier_ only runs when too many dots are active.
+  exact_bound_to_model_ = false;
+  frontier_ = StochasticGroundStateSolver{};
+}
+
+const std::vector<int>& GroundStateSolver::solve(
+    const std::vector<double>& drives, const ChargeSolverOptions& options,
+    const std::vector<int>* warm_start) {
+  QVG_EXPECTS(model_ != nullptr);
+  QVG_EXPECTS(drives.size() == model_->num_dots());
+  const int max_electrons = options.max_electrons_per_dot;
+  const std::size_t limit = options.exhaustive_dot_limit;
+
+  if (model_->num_dots() <= limit) {
+    if (!exact_bound_to_model_) exact_.bind(*model_);
+    exact_bound_to_model_ = true;
+    return exact_.solve(drives, max_electrons, warm_start);
+  }
+
+  active_dots(*model_, drives, active_);
+  if (active_.size() > limit) {
+    if (!frontier_.bound()) frontier_.bind(*model_);
+    return frontier_.solve(drives, max_electrons, options.frontier);
+  }
+
+  std::fill(occupation_.begin(), occupation_.end(), 0);
+  if (active_.empty()) return occupation_;
+  active_drives_.clear();
+  for (const std::size_t d : active_) active_drives_.push_back(drives[d]);
+  exact_.bind(*model_, active_);
+  exact_bound_to_model_ = false;
+  const std::vector<int>& sub = exact_.solve(active_drives_, max_electrons);
+  for (std::size_t a = 0; a < active_.size(); ++a)
+    occupation_[active_[a]] = sub[a];
+  return occupation_;
+}
+
 std::vector<int> ground_state(const CapacitanceModel& model,
                               const std::vector<double>& gate_voltages,
                               const ChargeSolverOptions& options) {
-  const auto drives = model.dot_drives(gate_voltages);
-  if (model.num_dots() <= options.exhaustive_dot_limit) {
-    IncrementalGroundStateSolver solver(model);
-    return solver.solve(drives, options.max_electrons_per_dot);
-  }
-  return ground_state_frontier(model, drives, options.max_electrons_per_dot,
-                               options.frontier);
+  GroundStateSolver solver;
+  solver.bind(model);
+  return solver.solve(model.dot_drives(gate_voltages), options);
 }
 
 }  // namespace qvg

@@ -52,11 +52,11 @@
 //     ground_state_greedy_multistart adds deterministic random restarts so
 //     large-array accuracy can be benchmarked against exact results.
 //
-//   ground_state_anneal / ground_state_tabu — stochastic search for the
-//     > exhaustive_dot_limit regime, built on the same O(1) delta-energy
-//     machinery (DeltaMoveEvaluator): single-dot occupancy moves and
-//     pair-swap moves evaluate in O(1) against maintained coupling sums, an
-//     accepted move costs O(n), and no per-trial vectors are copied.
+//   ground_state_anneal / ground_state_tabu — stochastic search for more
+//     than exhaustive_dot_limit active dots, built on the same O(1)
+//     delta-energy machinery (DeltaMoveEvaluator): single-dot occupancy
+//     moves and pair-swap moves evaluate in O(1) against maintained coupling
+//     sums, an accepted move costs O(n), and no per-trial vectors are copied.
 //     Annealing runs a geometric cooling schedule with deterministic
 //     restarts; tabu runs steepest-descent with a recency tabu list
 //     (attribute = (dot, previous occupancy)) and best-so-far aspiration.
@@ -65,20 +65,40 @@
 //     FrontierOptions::seed — restart k draws its starting state from
 //     Rng(seed).split(k), a stream independent of the restart count.
 //
-// ground_state() dispatches: IncrementalGroundStateSolver (branch-and-bound)
-// up to ChargeSolverOptions::exhaustive_dot_limit dots, the configured
-// frontier strategy (annealing by default) above.
+// GroundStateSolver is the production dispatch, used by ground_state() and
+// by every DeviceSimulator probe (L = ChargeSolverOptions::
+// exhaustive_dot_limit):
+//
+//   n <= L dots — IncrementalGroundStateSolver (branch-and-bound) on the
+//     whole model, warm-startable.
+//   n > L dots — an exact dominance pre-pass first. With Ec_i > 0 and
+//     Em_ik >= 0 (both enforced by CapacitanceModel), a dot whose drive
+//     satisfies mu_i < Ec_i/2 and holds c >= 1 electrons can be emptied for
+//     an energy drop of at least c * (Ec_i/2 - mu_i) > 0, so it is empty in
+//     every ground state. Only the active set A = {i : !(mu_i < Ec_i/2)}
+//     needs solving:
+//       |A| <= L — branch-and-bound over A alone (bound onto the gathered
+//         charging/mutual/drive entries of A; no model copy), exact;
+//       |A| >  L — the configured frontier strategy on the whole model,
+//         exactly as ground_state_frontier() runs it.
+//     Either way the result is a pure function of the drives (no warm
+//     start), so every probe schedule makes identical per-probe decisions.
+//
+// There is no switch to disable the pre-pass: it never discards a ground
+// state, so it is not a strategy choice.
 #pragma once
 
 #include "device/capacitance.hpp"
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace qvg {
 
-/// Ground-state search strategy above ChargeSolverOptions::
-/// exhaustive_dot_limit, where exact enumeration is combinatorially out.
+/// Ground-state search strategy for more than ChargeSolverOptions::
+/// exhaustive_dot_limit active dots, where exact enumeration is
+/// combinatorially out.
 enum class FrontierStrategy {
   /// Simulated annealing on O(1) delta-energy moves (production default).
   kAnneal,
@@ -123,18 +143,26 @@ struct FrontierOptions {
 
 struct ChargeSolverOptions {
   int max_electrons_per_dot = 4;
-  /// Use the exhaustive solver up to this many dots, the frontier strategy
-  /// above. The branch-and-bound solver keeps exact enumeration tractable at
-  /// this size.
+  /// Solve exactly (branch-and-bound) up to this many dots — all of them, or
+  /// above this size the active dots of the dominance pre-pass — and run
+  /// the frontier strategy only when more active dots remain. The
+  /// branch-and-bound solver keeps exact enumeration tractable at this size.
   std::size_t exhaustive_dot_limit = 7;
-  /// Strategy and tuning for dots > exhaustive_dot_limit.
+  /// Strategy and tuning for more than exhaustive_dot_limit active dots.
   FrontierOptions frontier;
 };
 
-/// Ground-state occupation at the given gate voltages.
+/// Ground-state occupation at the given gate voltages (one-shot
+/// GroundStateSolver).
 [[nodiscard]] std::vector<int> ground_state(
     const CapacitanceModel& model, const std::vector<double>& gate_voltages,
     const ChargeSolverOptions& options = {});
+
+/// The dominance pre-pass: writes into `out`, ascending, every dot i with
+/// !(drives[i] < Ec_i/2). All other dots are empty in every ground state.
+void active_dots(const CapacitanceModel& model,
+                 const std::vector<double>& drives,
+                 std::vector<std::size_t>& out);
 
 /// Exhaustive minimizer over {0..max}^n (exact). Reference implementation:
 /// full O(n^2) energy recompute per enumerated state.
@@ -308,8 +336,9 @@ class StochasticGroundStateSolver {
     int max_electrons_per_dot, const FrontierOptions& options = {},
     SolveStats* stats = nullptr);
 
-/// Dispatch on options.strategy (anneal / tabu / multistart). This is what
-/// ground_state() and the device simulator run above exhaustive_dot_limit.
+/// Dispatch on options.strategy (anneal / tabu / multistart) over the whole
+/// model. GroundStateSolver runs this when more than exhaustive_dot_limit
+/// dots are active.
 [[nodiscard]] std::vector<int> ground_state_frontier(
     const CapacitanceModel& model, const std::vector<double>& drives,
     int max_electrons_per_dot, const FrontierOptions& options = {},
@@ -332,6 +361,11 @@ class IncrementalGroundStateSolver {
   /// (Re)bind to a model and size the scratch buffers. The model must
   /// outlive the solver.
   void bind(const CapacitanceModel& model);
+  /// (Re)bind to the sub-problem of `dots` (ascending, distinct, non-empty):
+  /// gathers their charging energies and mutual couplings, so solve() takes
+  /// drives indexed like `dots` and returns an occupation of the same
+  /// length. Allocation-free once the buffers have reached that size.
+  void bind(const CapacitanceModel& model, std::span<const std::size_t> dots);
 
   /// Exact ground state over {0..max}^n for the given per-dot drives.
   /// `warm_start` (e.g. the previous raster pixel's occupation) seeds the
@@ -349,6 +383,8 @@ class IncrementalGroundStateSolver {
   [[nodiscard]] const SolveStats& last_stats() const noexcept { return stats_; }
 
  private:
+  /// Size the scratch buffers for n_ dots and reset the per-m tables.
+  void reset_scratch();
   /// Seed the incumbent from the zero state and the optional warm start.
   void seed_incumbent(const std::vector<double>& drives,
                       const std::vector<int>* warm_start);
@@ -398,6 +434,35 @@ class IncrementalGroundStateSolver {
   std::uint64_t best_index_ = 0;
   bool warm_is_best_ = false;
   SolveStats stats_;
+};
+
+/// The production ground-state solver: the dispatch described at the top of
+/// this header behind one bind/solve pair. Bind once, call solve() per
+/// probe; the returned reference stays valid until the next solve()/bind().
+/// Allocation-free after the first solves. Not thread-safe: one per thread.
+class GroundStateSolver {
+ public:
+  /// (Re)bind to a model. The model must outlive the solver.
+  void bind(const CapacitanceModel& model);
+  [[nodiscard]] bool bound() const noexcept { return model_ != nullptr; }
+
+  /// Ground-state occupation (full length) for the given per-dot drives.
+  /// `warm_start` is used only when the whole model is solved exactly
+  /// (num_dots() <= options.exhaustive_dot_limit); see
+  /// IncrementalGroundStateSolver::solve.
+  const std::vector<int>& solve(const std::vector<double>& drives,
+                                const ChargeSolverOptions& options,
+                                const std::vector<int>* warm_start = nullptr);
+
+ private:
+  const CapacitanceModel* model_ = nullptr;
+  IncrementalGroundStateSolver exact_;
+  /// exact_ holds the whole model (not an active-set sub-problem).
+  bool exact_bound_to_model_ = false;
+  StochasticGroundStateSolver frontier_;
+  std::vector<std::size_t> active_;
+  std::vector<double> active_drives_;
+  std::vector<int> occupation_;
 };
 
 }  // namespace qvg

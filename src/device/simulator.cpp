@@ -69,24 +69,12 @@ const std::vector<int>& DeviceSimulator::occupation_with(ProbeScratch& ws,
   ws.voltages[pair_.gate_x] = v1;
   ws.voltages[pair_.gate_y] = v2;
   model_.dot_drives_into(ws.voltages, ws.drives);
-  if (model_.num_dots() <= solver_options_.exhaustive_dot_limit) {
-    if (!ws.solver.bound()) ws.solver.bind(model_);
-    const auto& occ =
-        ws.solver.solve(ws.drives, solver_options_.max_electrons_per_dot,
-                        ws.has_warm ? &ws.warm : nullptr);
-    ws.warm = occ;
-    ws.has_warm = true;
-    return occ;
-  }
-  // Large array: stochastic frontier solver (same dispatch as the reference
-  // path; deterministic given its options and independent of any warm
-  // start, so results match ground_state() exactly and every schedule —
-  // serial, row-parallel, chunked — makes identical per-pixel decisions).
-  if (!ws.frontier.bound()) ws.frontier.bind(model_);
-  ws.warm = ws.frontier.solve(ws.drives, solver_options_.max_electrons_per_dot,
-                              solver_options_.frontier);
-  ws.has_warm = false;
-  return ws.warm;
+  if (!ws.solver.bound()) ws.solver.bind(model_);
+  const auto& occ = ws.solver.solve(ws.drives, solver_options_,
+                                    ws.has_warm ? &ws.warm : nullptr);
+  ws.warm = occ;
+  ws.has_warm = true;
+  return occ;
 }
 
 double DeviceSimulator::probe_with(ProbeScratch& ws, double v1,
@@ -104,13 +92,29 @@ double DeviceSimulator::ideal_current_naive(double v1, double v2) const {
   v[pair_.gate_x] = v1;
   v[pair_.gate_y] = v2;
   const auto drives = model_.dot_drives(v);
-  const auto occupation =
-      model_.num_dots() <= solver_options_.exhaustive_dot_limit
-          ? ground_state_exhaustive(model_, drives,
-                                    solver_options_.max_electrons_per_dot)
-          : ground_state_frontier(model_, drives,
-                                  solver_options_.max_electrons_per_dot,
-                                  solver_options_.frontier);
+  const int max_electrons = solver_options_.max_electrons_per_dot;
+  const std::size_t limit = solver_options_.exhaustive_dot_limit;
+  if (model_.num_dots() <= limit)
+    return sensor_.current(
+        v, ground_state_exhaustive(model_, drives, max_electrons));
+
+  // The same dominance pre-pass as GroundStateSolver, with the reference
+  // enumeration over a restricted CapacitanceModel as the exact solver.
+  std::vector<std::size_t> active;
+  active_dots(model_, drives, active);
+  if (active.size() > limit)
+    return sensor_.current(
+        v, ground_state_frontier(model_, drives, max_electrons,
+                                 solver_options_.frontier));
+  std::vector<int> occupation(model_.num_dots(), 0);
+  if (!active.empty()) {
+    std::vector<double> active_drives;
+    for (const std::size_t d : active) active_drives.push_back(drives[d]);
+    const auto sub = ground_state_exhaustive(model_.restricted_to(active),
+                                             active_drives, max_electrons);
+    for (std::size_t a = 0; a < active.size(); ++a)
+      occupation[active[a]] = sub[a];
+  }
   return sensor_.current(v, occupation);
 }
 

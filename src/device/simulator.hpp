@@ -130,15 +130,18 @@ class DeviceSimulator final : public CurrentSource {
   void reset();
 
  private:
-  /// Per-thread scratch for the allocation-free probe path.
+  /// Per-thread scratch for the allocation-free probe path. One
+  /// GroundStateSolver serves every device size: up to exhaustive_dot_limit
+  /// dots it solves the whole model exactly, warm-started from `warm` (the
+  /// previous probe); above it, the dominance pre-pass solves the active
+  /// dots exactly, or runs the frontier search when more than the limit are
+  /// active, and ignores `warm` (the result is a function of the probe).
   struct ProbeScratch {
     std::vector<double> voltages;
     std::vector<double> drives;
     std::vector<int> warm;
     bool has_warm = false;
-    IncrementalGroundStateSolver solver;
-    /// Stochastic frontier solver for > exhaustive_dot_limit dots.
-    StochasticGroundStateSolver frontier;
+    GroundStateSolver solver;
   };
 
   /// Ground-state occupation via the scratch workspace (no allocation after

@@ -41,8 +41,8 @@ struct ArrayExtractionOptions {
   /// Pair outputs never depend on the shard plan; only the per-shard stats
   /// grouping does. Bit-identical to the serial walk for every shard count.
   std::size_t shards = 0;
-  /// Ground-state search strategy each pair's simulator uses above the
-  /// exhaustive dot limit (the > 7-dot regime this walk scales into).
+  /// Ground-state search strategy each pair's simulator runs on probes with
+  /// more than exhaustive_dot_limit active dots (see GroundStateSolver).
   FrontierStrategy frontier = FrontierStrategy::kAnneal;
   FastExtractorOptions fast;
   HoughBaselineOptions baseline;

@@ -64,9 +64,9 @@ struct DeviceBackend {
   double pink_noise_sigma = 0.0;        // octave ladder tau 0.2 .. 30 s
   double telegraph_amplitude = 0.0;
   double telegraph_rate_hz = 0.5;
-  /// Ground-state search strategy above the exhaustive dot limit (the
-  /// simulator derives the stochastic seed from noise_seed, so the request
-  /// stays a pure description of the run).
+  /// Ground-state search strategy for probes with more than the exhaustive
+  /// dot limit of active dots (the simulator derives the stochastic seed
+  /// from noise_seed, so the request stays a pure description of the run).
   FrontierStrategy frontier = FrontierStrategy::kAnneal;
 };
 

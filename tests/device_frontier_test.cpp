@@ -4,7 +4,9 @@
 // branch-and-bound ground state on nearly all enumerable models, every run
 // must be a pure function of its seed (so job retries replay
 // bit-identically), and multistart restarts must form a prefix-superset
-// (stream-per-restart, independent of the restart count).
+// (stream-per-restart, independent of the restart count). In front of the
+// frontier, the dominance pre-pass must solve the active dots exactly and
+// hand a model with more than 7 active dots to the frontier unchanged.
 #include "common/random.hpp"
 #include "device/charge_state.hpp"
 #include "device/dot_array.hpp"
@@ -15,7 +17,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
+#include <cstdlib>
 #include <vector>
 
 namespace qvg {
@@ -339,6 +343,172 @@ TEST(MultistartStreamTest, MoreRestartsNeverWorse) {
 }
 
 // ---------------------------------------------------------------------------
+// The dominance pre-pass above exhaustive_dot_limit: a dot with
+// mu_i < Ec_i/2 is empty in every ground state, so GroundStateSolver solves
+// only the active dots exactly, and hands the whole model to the frontier
+// search when more than the limit are active.
+
+BuiltDevice jittered_array(std::size_t n, std::uint64_t seed) {
+  DotArrayParams params;
+  params.n_dots = n;
+  params.jitter = 0.04;
+  Rng rng(seed);
+  return build_dot_array(params, &rng);
+}
+
+/// The dots with !(mu_i < Ec_i/2), recomputed independently of
+/// active_dots().
+std::vector<std::size_t> dots_above_half_charging(
+    const CapacitanceModel& model, const std::vector<double>& drives) {
+  std::vector<std::size_t> active;
+  for (std::size_t i = 0; i < model.num_dots(); ++i)
+    if (!(drives[i] < 0.5 * model.charging_energies()[i])) active.push_back(i);
+  return active;
+}
+
+/// Brute-force oracle: reference enumeration over the restricted model of
+/// the active dots, every other dot empty.
+std::vector<int> compacted_oracle(const CapacitanceModel& model,
+                                  const std::vector<double>& drives,
+                                  const std::vector<std::size_t>& active) {
+  std::vector<int> occupation(model.num_dots(), 0);
+  if (active.empty()) return occupation;
+  std::vector<double> sub_drives;
+  for (const std::size_t d : active) sub_drives.push_back(drives[d]);
+  const auto sub =
+      ground_state_exhaustive(model.restricted_to(active), sub_drives, 4);
+  for (std::size_t a = 0; a < active.size(); ++a)
+    occupation[active[a]] = sub[a];
+  return occupation;
+}
+
+TEST(DominancePrepassTest, ExactOverActiveDotsAndNeverAboveTheFrontier) {
+  // Each plunger either rests at its base voltage or is drawn across the
+  // window; in half the trials a few drives are then moved to within 3 ulps
+  // of Ec_i/2, on both sides of the activity test.
+  Rng rng(8128);
+  const ChargeSolverOptions options;
+  int exact_cases = 0, frontier_cases = 0, boundary_drives = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t n = 8 + static_cast<std::size_t>(trial % 9);
+    const BuiltDevice device = jittered_array(n, 500 + trial);
+    const CapacitanceModel& model = device.model;
+    std::vector<double> voltages = device.base_voltages;
+    for (std::size_t g = 0; g < n; ++g)
+      if (rng.uniform() < 0.6)
+        voltages[g] =
+            rng.uniform(device.params.window_lo, device.params.window_hi);
+    std::vector<double> drives = model.dot_drives(voltages);
+    const bool nudged = trial % 2 == 1;
+    if (nudged) {
+      for (int k = 0; k < 3; ++k) {
+        const auto d = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+        double mu = 0.5 * model.charging_energies()[d];
+        const auto steps = rng.uniform_int(-3, 3);
+        for (std::int64_t s = 0; s < std::abs(steps); ++s)
+          mu = std::nextafter(mu, steps < 0 ? 0.0 : 1.0);
+        drives[d] = mu;
+        ++boundary_drives;
+      }
+    }
+
+    GroundStateSolver solver;
+    solver.bind(model);
+    const std::vector<int> got = solver.solve(drives, options);
+    if (!nudged) {
+      EXPECT_EQ(ground_state(model, voltages, options), got);
+    }
+    const auto frontier =
+        ground_state_frontier(model, drives, 4, options.frontier);
+    const auto active = dots_above_half_charging(model, drives);
+    if (active.size() <= options.exhaustive_dot_limit) {
+      ++exact_cases;
+      EXPECT_EQ(got, compacted_oracle(model, drives, active))
+          << "trial " << trial << ", " << active.size() << " active of " << n;
+      EXPECT_LE(model.energy(got, drives), model.energy(frontier, drives))
+          << "trial " << trial;
+    } else {
+      ++frontier_cases;
+      EXPECT_EQ(got, frontier) << "trial " << trial;
+    }
+  }
+  EXPECT_GT(exact_cases, 20);
+  EXPECT_GT(frontier_cases, 5);
+  EXPECT_GT(boundary_drives, 0);
+}
+
+TEST(DominancePrepassTest, CompactedSolveMatchesWholeModelBranchAndBound) {
+  // The dominance argument itself: at 8-9 dots the whole model is still
+  // enumerable, and its branch-and-bound ground state keeps every inactive
+  // dot empty.
+  Rng rng(8129);
+  const ChargeSolverOptions options;
+  int compacted = 0;
+  for (int trial = 0; trial < 16; ++trial) {
+    const std::size_t n = 8 + static_cast<std::size_t>(trial % 2);
+    const BuiltDevice device = jittered_array(n, 700 + trial);
+    std::vector<double> voltages = device.base_voltages;
+    for (std::size_t g = 0; g < n; ++g)
+      voltages[g] =
+          rng.uniform(device.params.window_lo, device.params.window_hi);
+    const auto drives = device.model.dot_drives(voltages);
+    if (dots_above_half_charging(device.model, drives).size() >
+        options.exhaustive_dot_limit)
+      continue;
+    ++compacted;
+    IncrementalGroundStateSolver whole(device.model);
+    EXPECT_EQ(ground_state(device.model, voltages, options),
+              whole.solve(drives, 4))
+        << "trial " << trial;
+  }
+  EXPECT_GE(compacted, 10);
+}
+
+TEST(DominancePrepassTest, SolverFollowsTheLimitOfEachCall) {
+  // One bound solver, alternating limits: 7 (pre-pass over 10 dots) and 10
+  // (the whole model, branch-and-bound).
+  const BuiltDevice device = jittered_array(10, 4242);
+  std::vector<double> voltages = device.base_voltages;
+  voltages[3] = voltages[4] = device.params.window_hi;
+  const auto drives = device.model.dot_drives(voltages);
+  IncrementalGroundStateSolver whole(device.model);
+  const std::vector<int> expected = whole.solve(drives, 4);
+  GroundStateSolver solver;
+  solver.bind(device.model);
+  ChargeSolverOptions options;
+  for (const std::size_t limit : {7u, 10u, 7u, 10u}) {
+    options.exhaustive_dot_limit = limit;
+    EXPECT_EQ(solver.solve(drives, options), expected) << "limit " << limit;
+  }
+}
+
+TEST(DominancePrepassTest, WindowCentreStillRunsTheFrontierBitForBit) {
+  // `csd_tool --frontier-probe`: every plunger at the window centre puts all
+  // dots above Ec_i/2, so the pre-pass must hand the whole model to the
+  // configured frontier search, unchanged.
+  for (std::size_t n = 8; n <= 16; ++n) {
+    const BuiltDevice device = jittered_array(n, 900 + n);
+    std::vector<double> voltages = device.base_voltages;
+    for (std::size_t g = 0; g < n; ++g)
+      voltages[g] = 0.5 * (device.params.window_lo + device.params.window_hi);
+    const auto drives = device.model.dot_drives(voltages);
+    std::vector<std::size_t> active;
+    active_dots(device.model, drives, active);
+    ASSERT_GT(active.size(), 7u) << n << " dots";
+    for (const FrontierStrategy strategy :
+         {FrontierStrategy::kAnneal, FrontierStrategy::kTabu}) {
+      ChargeSolverOptions options;
+      options.frontier.strategy = strategy;
+      EXPECT_EQ(ground_state(device.model, voltages, options),
+                ground_state_frontier(device.model, drives, 4,
+                                      options.frontier))
+          << n << " dots";
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // S1: stochastic seeds derive from the request seed — reruns are
 // bit-identical end to end.
 
@@ -349,8 +519,9 @@ TEST(FrontierSeedDerivationTest, SameNoiseSeedSameRasterAtTenDots) {
   const VoltageAxis axis = scan_axis(device, 24);
 
   // Two independently constructed simulators with the same noise seed must
-  // produce bit-identical rasters even though every pixel's ground state
-  // comes from the stochastic frontier (10 dots > exhaustive_dot_limit).
+  // produce bit-identical rasters. 10 dots > exhaustive_dot_limit, so each
+  // pixel goes through the dominance pre-pass: exact over its active dots,
+  // or the seeded stochastic frontier when more than 7 are active.
   const DeviceSimulator first = make_pair_simulator(device, 4, /*seed=*/99);
   const DeviceSimulator second = make_pair_simulator(device, 4, /*seed=*/99);
   EXPECT_GT(first.solver_options().frontier.seed, 0u);

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 namespace qvg {
@@ -318,6 +319,81 @@ TEST(RasterEquivalenceTest, ParallelMatchesSerialOnTripleDot) {
   const GridD fast =
       sim.evaluate_raster(axis, axis, {RasterEvalMode::kFast, true});
   EXPECT_EQ(naive, fast);
+}
+
+void expect_raster_lanes_agree(const DeviceSimulator& sim,
+                               const VoltageAxis& axis) {
+  const GridD naive =
+      sim.evaluate_raster(axis, axis, {RasterEvalMode::kNaive, false});
+  const GridD fast_serial =
+      sim.evaluate_raster(axis, axis, {RasterEvalMode::kFast, false});
+  const GridD fast_parallel =
+      sim.evaluate_raster(axis, axis, {RasterEvalMode::kFast, true});
+  EXPECT_EQ(naive, fast_serial);
+  EXPECT_EQ(fast_serial, fast_parallel);
+}
+
+TEST(RasterEquivalenceTest, NaiveMatchesFastAboveTheExhaustiveLimit) {
+  // Above 7 dots the probe path runs the dominance pre-pass; kNaive runs it
+  // with the reference enumeration over a restricted model. With resting
+  // plungers only the scanned dots can be active; raising `raised` more
+  // plungers to the window centre grows the active set to 3-5 dots (10
+  // dots, still exact) or past 7 (16 dots, the anneal frontier).
+  for (const auto& [n, raised] : {std::pair<std::size_t, std::size_t>{10, 3},
+                                  std::pair<std::size_t, std::size_t>{16, 8}}) {
+    DotArrayParams params;
+    params.n_dots = n;
+    params.jitter = 0.04;
+    Rng jitter(n);
+    const BuiltDevice device = build_dot_array(params, &jitter);
+    const VoltageAxis axis = scan_axis(device, 24);
+    DeviceSimulator sim = make_pair_simulator(device, 0);
+    expect_raster_lanes_agree(sim, axis);
+
+    const double centre = 0.5 * (params.window_lo + params.window_hi);
+    for (std::size_t g = n - raised; g < n; ++g)
+      sim.set_base_voltage(g, centre);
+    std::vector<double> voltages = sim.base_voltages();
+    voltages[0] = voltages[1] = params.window_lo;
+    std::vector<std::size_t> active;
+    active_dots(device.model, device.model.dot_drives(voltages), active);
+    EXPECT_EQ(active.size() > 7, n == 16) << n << " dots";
+    expect_raster_lanes_agree(sim, axis);
+  }
+}
+
+TEST(RasterEquivalenceTest, ExactActiveSetBeatsAnExcitedAnnealState) {
+  // A 16-dot pair probe where annealing the whole model settles in an
+  // excited state: occupations (dot 1, dot 2) = (2, 1) instead of the
+  // ground state (1, 2). Only dots 1 and 2 are active there, so the probe
+  // path now solves them exactly.
+  DotArrayParams params;
+  params.n_dots = 16;
+  params.jitter = 0.04;
+  Rng jitter(5);
+  const BuiltDevice device = build_dot_array(params, &jitter);
+  const DeviceSimulator sim = make_pair_simulator(device, 1, /*seed=*/43);
+  const VoltageAxis axis = scan_axis(device, 32);
+  const double v1 = axis.voltage(22.0);
+  const double v2 = axis.voltage(24.0);
+  std::vector<double> voltages = device.base_voltages;
+  voltages[1] = v1;
+  voltages[2] = v2;
+  const auto drives = device.model.dot_drives(voltages);
+
+  std::vector<int> annealed(16, 0);
+  annealed[1] = 2;
+  annealed[2] = 1;
+  EXPECT_EQ(ground_state_frontier(device.model, drives, 4,
+                                  sim.solver_options().frontier),
+            annealed);
+  std::vector<int> ground(16, 0);
+  ground[1] = 1;
+  ground[2] = 2;
+  const std::vector<int> occupation = sim.occupation_at(v1, v2);
+  EXPECT_EQ(occupation, ground);
+  EXPECT_LT(device.model.energy(occupation, drives),
+            device.model.energy(annealed, drives));
 }
 
 TEST(RasterEquivalenceTest, GenerateCsdMatchesPixelByPixelAcquisition) {

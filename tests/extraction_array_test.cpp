@@ -193,8 +193,8 @@ void expect_identical_arrays(const ArrayExtractionResult& a,
 }
 
 TEST(ArrayShardTest, ShardedTenDotExtractionIsBitIdenticalToSerial) {
-  // 10 dots is the frontier regime: every pixel's ground state comes from
-  // the stochastic solver. The shard plan must not leak into results —
+  // 10 dots is above the exhaustive dot limit: every pixel goes through the
+  // dominance pre-pass. The shard plan must not leak into results —
   // serial, one-shard-per-pair, and 4-shard runs compose bit-identically.
   const BuiltDevice device = array_device(10, 33);
   ArrayExtractionOptions serial_opt;
@@ -229,20 +229,24 @@ TEST(ArrayShardTest, ShardedTenDotExtractionIsBitIdenticalToSerial) {
 }
 
 TEST(ArrayShardTest, FrontierStrategyOptionReachesThePairSolvers) {
-  // Tabu and anneal walk different search trajectories; at 10 dots both must
-  // still produce a successful, self-consistent composition.
+  // Each pair's simulator takes the strategy, but a pair scan rests every
+  // other plunger at its base voltage, so at most the two scanned dots are
+  // active and the dominance pre-pass solves every probe exactly: anneal
+  // and tabu walks must produce the same, self-consistent composition.
   const BuiltDevice device = array_device(10, 34);
+  std::vector<ArrayExtractionResult> results;
   for (const FrontierStrategy strategy :
        {FrontierStrategy::kAnneal, FrontierStrategy::kTabu}) {
     ArrayExtractionOptions opt;
     opt.pixels_per_axis = 24;
     opt.shards = 3;
     opt.frontier = strategy;
-    const auto result = extract_array_virtualization(device, opt);
-    ASSERT_EQ(result.pairs.size(), 9u);
-    for (const auto& pair : result.pairs)
+    results.push_back(extract_array_virtualization(device, opt));
+    ASSERT_EQ(results.back().pairs.size(), 9u);
+    for (const auto& pair : results.back().pairs)
       EXPECT_GT(pair.stats.unique_probes, 0);
   }
+  expect_identical_arrays(results[0], results[1]);
 }
 
 }  // namespace
