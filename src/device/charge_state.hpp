@@ -444,7 +444,11 @@ class GroundStateSolver {
  public:
   /// (Re)bind to a model. The model must outlive the solver.
   void bind(const CapacitanceModel& model);
-  [[nodiscard]] bool bound() const noexcept { return model_ != nullptr; }
+  /// Whether the solver is bound to this very model object (a copied
+  /// solver still points at the original's model and must rebind).
+  [[nodiscard]] bool bound_to(const CapacitanceModel& model) const noexcept {
+    return model_ == &model;
+  }
 
   /// Ground-state occupation (full length) for the given per-dot drives.
   /// `warm_start` is used only when the whole model is solved exactly

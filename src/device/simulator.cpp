@@ -69,7 +69,7 @@ const std::vector<int>& DeviceSimulator::occupation_with(ProbeScratch& ws,
   ws.voltages[pair_.gate_x] = v1;
   ws.voltages[pair_.gate_y] = v2;
   model_.dot_drives_into(ws.voltages, ws.drives);
-  if (!ws.solver.bound()) ws.solver.bind(model_);
+  if (!ws.solver.bound_to(model_)) ws.solver.bind(model_);
   const auto& occ = ws.solver.solve(ws.drives, solver_options_,
                                     ws.has_warm ? &ws.warm : nullptr);
   ws.warm = occ;

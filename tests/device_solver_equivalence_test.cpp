@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -366,7 +367,7 @@ TEST(RasterEquivalenceTest, ExactActiveSetBeatsAnExcitedAnnealState) {
   // A 16-dot pair probe where annealing the whole model settles in an
   // excited state: occupations (dot 1, dot 2) = (2, 1) instead of the
   // ground state (1, 2). Only dots 1 and 2 are active there, so the probe
-  // path now solves them exactly.
+  // path solves them exactly instead.
   DotArrayParams params;
   params.n_dots = 16;
   params.jitter = 0.04;
@@ -394,6 +395,22 @@ TEST(RasterEquivalenceTest, ExactActiveSetBeatsAnExcitedAnnealState) {
   EXPECT_EQ(occupation, ground);
   EXPECT_LT(device.model.energy(occupation, drives),
             device.model.energy(annealed, drives));
+}
+
+TEST(RasterEquivalenceTest, MovedSimulatorRebindsItsSolver) {
+  // The probe scratch moves with the simulator; its solver must rebind to
+  // the new object's model rather than read the destroyed original's.
+  for (const std::size_t n : {2u, 16u}) {
+    DotArrayParams params;
+    params.n_dots = n;
+    const BuiltDevice device = build_dot_array(params);
+    auto original =
+        std::make_unique<DeviceSimulator>(make_pair_simulator(device));
+    const double before = original->ideal_current(0.021, 0.037);
+    const DeviceSimulator moved = std::move(*original);
+    original.reset();
+    EXPECT_EQ(moved.ideal_current(0.021, 0.037), before) << n << " dots";
+  }
 }
 
 TEST(RasterEquivalenceTest, GenerateCsdMatchesPixelByPixelAcquisition) {
