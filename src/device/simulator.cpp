@@ -108,10 +108,9 @@ double DeviceSimulator::ideal_current_naive(double v1, double v2) const {
                                  solver_options_.frontier));
   std::vector<int> occupation(model_.num_dots(), 0);
   if (!active.empty()) {
-    std::vector<double> active_drives;
-    for (const std::size_t d : active) active_drives.push_back(drives[d]);
-    const auto sub = ground_state_exhaustive(model_.restricted_to(active),
-                                             active_drives, max_electrons);
+    const CapacitanceModel sub_model = model_.restricted_to(active);
+    const auto sub = ground_state_exhaustive(
+        sub_model, sub_model.dot_drives(v), max_electrons);
     for (std::size_t a = 0; a < active.size(); ++a)
       occupation[active[a]] = sub[a];
   }
