@@ -43,18 +43,12 @@ void WireWriter::f64(std::uint8_t tag, double value) {
   put_u64(std::bit_cast<std::uint64_t>(value));
 }
 
-void WireWriter::bytes(std::uint8_t tag, std::span<const std::uint8_t> value) {
+void WireWriter::str(std::uint8_t tag, std::string_view value) {
   QVG_EXPECTS(value.size() <= 0xffffffffu);
   buffer_.push_back(tag);
   buffer_.push_back(static_cast<std::uint8_t>(FieldType::kBytes));
   put_u32(static_cast<std::uint32_t>(value.size()));
   buffer_.insert(buffer_.end(), value.begin(), value.end());
-}
-
-void WireWriter::str(std::uint8_t tag, std::string_view value) {
-  bytes(tag, std::span<const std::uint8_t>(
-                 reinterpret_cast<const std::uint8_t*>(value.data()),
-                 value.size()));
 }
 
 void WireWriter::f64_array(std::uint8_t tag, std::span<const double> values) {

@@ -27,7 +27,10 @@
 //
 // WireWriter appends fields to a byte buffer; WireReader walks one. The
 // message-level encode/decode functions live in wire/messages.hpp; the JSON
-// lane (same messages, human-readable) in wire/json.hpp.
+// lane (same messages, human-readable) in wire/json.hpp. Which fields a
+// message carries, and under which tags, is not spelled out here or there:
+// wire/schema.hpp holds one field table per message, and adding or
+// reserving a field is one row of it.
 #pragma once
 
 #include "common/status.hpp"
@@ -74,10 +77,8 @@ class WireWriter {
   void i64(std::uint8_t tag, std::int64_t value) {
     u64(tag, static_cast<std::uint64_t>(value));
   }
-  void boolean(std::uint8_t tag, bool value) { u64(tag, value ? 1 : 0); }
   /// Doubles travel as IEEE-754 bit patterns: exact, NaN-preserving.
   void f64(std::uint8_t tag, double value);
-  void bytes(std::uint8_t tag, std::span<const std::uint8_t> value);
   void str(std::uint8_t tag, std::string_view value);
   /// A contiguous array of doubles as one kBytes field (8 bytes LE each) —
   /// the CSD pixel lane.
@@ -109,7 +110,6 @@ struct WireField {
   [[nodiscard]] std::int64_t as_i64() const {
     return static_cast<std::int64_t>(as_u64());
   }
-  [[nodiscard]] bool as_bool() const { return as_u64() != 0; }
   [[nodiscard]] double as_f64() const;
   [[nodiscard]] std::string as_string() const;
   /// Payload reinterpreted as packed LE doubles; fails (kParseError) when
@@ -133,8 +133,6 @@ class WireReader {
   /// a truncated/corrupt field. Unknown tags are returned like any other
   /// field — message decoders skip them (version tolerance).
   [[nodiscard]] Result<std::optional<WireField>> next();
-
-  [[nodiscard]] bool at_end() const noexcept { return pos_ >= buffer_.size(); }
 
  private:
   std::span<const std::uint8_t> buffer_;

@@ -1,5 +1,8 @@
 #include "wire/json.hpp"
 
+#include "wire/schema.hpp"
+
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -296,89 +299,152 @@ class JsonParser {
   std::size_t pos_ = 0;
 };
 
-// ------------------------------------------------- field-level helpers ----
+// ------------------------------------------------------------- walker -----
 
-/// Doubles as JSON: finite values as numbers, non-finite as marker strings
-/// (JSON has no Inf/NaN literals).
-JsonValue json_f64(double v) {
-  if (std::isnan(v)) return JsonValue::string("nan");
-  if (std::isinf(v)) return JsonValue::string(v > 0 ? "inf" : "-inf");
-  return JsonValue::number(v);
-}
+// The JSON walker over the tables of wire/schema.hpp: to_value()/
+// from_value() move one value by its C++ type, add_fields()/read_fields()
+// one message.
 
-Status get_f64(const JsonValue& obj, std::string_view key, double& out) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr) return Status();  // absent: keep the default
-  if (v->kind() == JsonValue::Kind::kString) {
-    const std::string& s = v->as_string();
-    if (s == "nan") out = std::nan("");
-    else if (s == "inf") out = HUGE_VAL;
-    else if (s == "-inf") out = -HUGE_VAL;
-    else return json_error("key '" + std::string(key) + "' is not a number");
-    return Status();
+using schema::Message;
+using schema::Proxied;
+
+template <Message T>
+void add_fields(JsonValue& obj, const T& message);
+template <Message T>
+Status read_fields(const JsonValue& obj, T& message);
+
+template <typename V>
+JsonValue to_value(const V& value) {
+  if constexpr (std::is_same_v<V, double>) {
+    // Non-finite values travel as marker strings (JSON has no Inf/NaN).
+    if (std::isnan(value)) return JsonValue::string("nan");
+    if (std::isinf(value)) return JsonValue::string(value > 0 ? "inf" : "-inf");
+    return JsonValue::number(value);
+  } else if constexpr (std::is_same_v<V, bool>) {
+    return JsonValue::boolean(value);
+  } else if constexpr (std::is_same_v<V, std::string>) {
+    return JsonValue::string(value);
+  } else if constexpr (std::is_same_v<V, std::vector<double>>) {
+    JsonValue array = JsonValue::array();
+    for (double v : value) array.push_back(to_value(v));
+    return array;
+  } else if constexpr (Message<V>) {
+    JsonValue obj = JsonValue::object();
+    add_fields(obj, value);
+    return obj;
+  } else if constexpr (std::is_signed_v<V>) {
+    return JsonValue::integer(value);
+  } else {
+    return JsonValue::unsigned_integer(value);
   }
-  if (v->kind() != JsonValue::Kind::kNumber)
-    return json_error("key '" + std::string(key) + "' is not a number");
-  out = v->as_double();
+}
+
+template <typename V>
+Status from_value(const JsonValue& v, std::string_view key, V& out) {
+  using Kind = JsonValue::Kind;
+  const auto is_not = [&](const char* what) {
+    return json_error("key '" + std::string(key) + "' is not " + what);
+  };
+  if constexpr (std::is_same_v<V, double>) {
+    const std::string_view marker =
+        v.kind() == Kind::kString ? std::string_view(v.as_string()) : "";
+    if (v.kind() == Kind::kNumber) out = v.as_double();
+    else if (marker == "nan") out = std::nan("");
+    else if (marker == "inf") out = HUGE_VAL;
+    else if (marker == "-inf") out = -HUGE_VAL;
+    else return is_not("a number");
+  } else if constexpr (std::is_same_v<V, bool>) {
+    if (v.kind() != Kind::kBool) return is_not("a boolean");
+    out = v.as_bool();
+  } else if constexpr (std::is_same_v<V, std::string>) {
+    if (v.kind() != Kind::kString) return is_not("a string");
+    out = v.as_string();
+  } else if constexpr (std::is_same_v<V, std::vector<double>>) {
+    if (v.kind() != Kind::kArray) return is_not("an array");
+    out.assign(v.items().size(), 0.0);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      Status s = from_value(v.items()[i], key, out[i]);
+      if (!s.ok()) return s;
+    }
+  } else if constexpr (Message<V>) {
+    if (v.kind() != Kind::kObject) return is_not("an object");
+    return read_fields(v, out);
+  } else if constexpr (std::is_signed_v<V>) {
+    if (v.kind() != Kind::kNumber || !v.exact_i64() ||
+        !std::in_range<V>(v.as_i64()))
+      return is_not("an integer in range");
+    out = static_cast<V>(v.as_i64());
+  } else {
+    if (v.kind() != Kind::kNumber || !v.exact_u64())
+      return is_not("an unsigned integer");
+    out = static_cast<V>(v.as_u64());
+  }
   return Status();
 }
 
-Status get_u64(const JsonValue& obj, std::string_view key, std::uint64_t& out) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr) return Status();
-  if (v->kind() != JsonValue::Kind::kNumber || !v->exact_u64())
-    return json_error("key '" + std::string(key) +
-                      "' is not an unsigned integer");
-  out = v->as_u64();
-  return Status();
+template <typename V>
+Status from_value(const JsonValue& v, std::string_view key,
+                  std::optional<V>& out) {
+  return from_value(v, key, out.emplace());
 }
 
-Status get_i64(const JsonValue& obj, std::string_view key, std::int64_t& out) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr) return Status();
-  if (v->kind() != JsonValue::Kind::kNumber || !v->exact_i64())
-    return json_error("key '" + std::string(key) + "' is not an integer");
-  out = v->as_i64();
-  return Status();
+template <Message T>
+void add_fields(JsonValue& obj, const T& message) {
+  if constexpr (Proxied<T>) {
+    add_fields(obj, schema::fields_of(message));
+  } else {
+    schema::for_each_row<T>([&](const auto& row, std::size_t) {
+      if (!row.when(message)) return;
+      const auto& value = std::invoke(row.get, message);
+      if constexpr (schema::kNamed<decltype(row)>) {
+        // An out-of-range value travels as its number, which no decoder
+        // accepts, never as another value's name.
+        const auto raw = static_cast<std::uint64_t>(value);
+        obj.set(std::string(row.key),
+                raw < row.names.size()
+                    ? JsonValue::string(std::string(row.names[raw]))
+                    : JsonValue::unsigned_integer(raw));
+      } else if constexpr (schema::kIsOptional<
+                               std::remove_cvref_t<decltype(value)>>) {
+        if (value.has_value()) obj.set(std::string(row.key), to_value(*value));
+      } else {
+        obj.set(std::string(row.key), to_value(value));
+      }
+    });
+  }
 }
 
-Status get_int(const JsonValue& obj, std::string_view key, int& out) {
-  std::int64_t wide = out;
-  Status s = get_i64(obj, key, wide);
-  if (s.ok()) out = static_cast<int>(wide);
-  return s;
-}
-
-Status get_long(const JsonValue& obj, std::string_view key, long& out) {
-  std::int64_t wide = out;
-  Status s = get_i64(obj, key, wide);
-  if (s.ok()) out = static_cast<long>(wide);
-  return s;
-}
-
-Status get_size(const JsonValue& obj, std::string_view key, std::size_t& out) {
-  std::uint64_t wide = out;
-  Status s = get_u64(obj, key, wide);
-  if (s.ok()) out = static_cast<std::size_t>(wide);
-  return s;
-}
-
-Status get_bool(const JsonValue& obj, std::string_view key, bool& out) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr) return Status();
-  if (v->kind() != JsonValue::Kind::kBool)
-    return json_error("key '" + std::string(key) + "' is not a boolean");
-  out = v->as_bool();
-  return Status();
-}
-
-Status get_str(const JsonValue& obj, std::string_view key, std::string& out) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr) return Status();
-  if (v->kind() != JsonValue::Kind::kString)
-    return json_error("key '" + std::string(key) + "' is not a string");
-  out = v->as_string();
-  return Status();
+template <Message T>
+Status read_fields(const JsonValue& obj, T& message) {
+  if constexpr (Proxied<T>) {
+    return schema::through_proxy(message, json_error, [&](auto& proxy) {
+      return read_fields(obj, proxy);
+    });
+  } else {
+    Status s;
+    std::uint64_t seen = 0;
+    schema::for_each_row<T>([&](const auto& row, std::size_t i) {
+      const JsonValue* v = s.ok() ? obj.find(row.key) : nullptr;
+      if (v == nullptr) return;  // absent: the field keeps its default
+      seen |= std::uint64_t{1} << i;
+      auto& value = std::invoke(row.get, message);
+      if constexpr (schema::kNamed<decltype(row)>) {
+        std::string name;
+        s = from_value(*v, row.key, name);
+        const auto index = static_cast<std::size_t>(
+            std::find(row.names.begin(), row.names.end(), name) -
+            row.names.begin());
+        if (s.ok() && index == row.names.size())
+          s = json_error("unknown " + std::string(row.key) + " '" + name +
+                         "'");
+        if (s.ok())
+          value = static_cast<std::remove_cvref_t<decltype(value)>>(index);
+      } else {
+        s = from_value(*v, row.key, value);
+      }
+    });
+    return s.ok() ? schema::check_required(message, seen, json_error) : s;
+  }
 }
 
 /// Every top-level document carries {"v": kWireVersion}; a reader rejects a
@@ -395,141 +461,33 @@ Status check_version(const JsonValue& obj) {
   return Status();
 }
 
-Status parse_error_code(const std::string& name, ErrorCode& out) {
-  for (std::uint64_t c = 0; c <= static_cast<std::uint64_t>(ErrorCode::kInternal);
-       ++c) {
-    if (name == error_code_name(static_cast<ErrorCode>(c))) {
-      out = static_cast<ErrorCode>(c);
-      return Status();
-    }
-  }
-  return json_error("unknown error code '" + name + "'");
-}
-
-const char* method_name(ExtractionMethod method) {
-  return method == ExtractionMethod::kFast ? "fast" : "hough_baseline";
-}
-
-Status parse_method(const std::string& name, ExtractionMethod& out) {
-  if (name == "fast") {
-    out = ExtractionMethod::kFast;
-    return Status();
-  }
-  if (name == "hough_baseline") {
-    out = ExtractionMethod::kHoughBaseline;
-    return Status();
-  }
-  return json_error("unknown extraction method '" + name + "'");
-}
-
-const char* frontier_name(std::uint64_t frontier) {
-  switch (frontier) {
-    case 1: return "tabu";
-    case 2: return "greedy";
-    default: return "anneal";
-  }
-}
-
-Status parse_frontier(const std::string& name, std::uint64_t& out) {
-  if (name == "anneal") {
-    out = 0;
-    return Status();
-  }
-  if (name == "tabu") {
-    out = 1;
-    return Status();
-  }
-  if (name == "greedy") {
-    out = 2;
-    return Status();
-  }
-  return json_error("unknown frontier strategy '" + name + "'");
-}
-
-// ------------------------------------------------------ nested pieces -----
-
-JsonValue status_value(const Status& status) {
+/// A top-level document: "v" first, or last where the message has always
+/// carried it last.
+template <Message T>
+std::string dump_message(const T& message, bool version_first) {
   JsonValue obj = JsonValue::object();
-  obj.set("code", JsonValue::string(error_code_name(status.code())));
-  obj.set("stage", JsonValue::string(status.stage()));
-  obj.set("detail", JsonValue::string(status.detail()));
-  return obj;
+  if (version_first) obj.set("v", JsonValue::unsigned_integer(kWireVersion));
+  add_fields(obj, message);
+  if (!version_first) obj.set("v", JsonValue::unsigned_integer(kWireVersion));
+  return obj.dump();
 }
 
-Status status_from_value(const JsonValue& obj, Status& out) {
-  if (obj.kind() != JsonValue::Kind::kObject)
-    return json_error("status is not an object");
-  std::string code_name = "ok", stage, detail;
-  Status s = get_str(obj, "code", code_name);
-  if (s.ok()) s = get_str(obj, "stage", stage);
-  if (s.ok()) s = get_str(obj, "detail", detail);
+/// Parses and checks the version, then decodes into `out`.
+template <Message T>
+Status parse_into(std::string_view text, T& out) {
+  Result<JsonValue> doc = parse_json(text);
+  if (!doc.ok()) return doc.status();
+  Status s = check_version(doc.value());
   if (!s.ok()) return s;
-  ErrorCode code = ErrorCode::kOk;
-  s = parse_error_code(code_name, code);
+  return read_fields(doc.value(), out);
+}
+
+template <Message T>
+Result<T> parse_message(std::string_view text) {
+  T out;
+  Status s = parse_into(text, out);
   if (!s.ok()) return s;
-  out = code == ErrorCode::kOk ? Status()
-                               : Status::failure(code, std::move(stage),
-                                                 std::move(detail));
-  return Status();
-}
-
-JsonValue fault_stats_value(const FaultStats& stats) {
-  JsonValue obj = JsonValue::object();
-  obj.set("transient_faults", JsonValue::integer(stats.transient_faults));
-  obj.set("drift_events", JsonValue::integer(stats.drift_events));
-  obj.set("retries", JsonValue::integer(stats.retries));
-  obj.set("backoff_seconds", json_f64(stats.backoff_seconds));
-  obj.set("reacquired_rows", JsonValue::integer(stats.reacquired_rows));
-  obj.set("driver_batches", JsonValue::integer(stats.driver_batches));
-  obj.set("driver_aborted_transfers",
-          JsonValue::integer(stats.driver_aborted_transfers));
-  obj.set("driver_max_inflight",
-          JsonValue::integer(stats.driver_max_inflight));
-  obj.set("transport_stall_seconds",
-          json_f64(stats.transport_stall_seconds));
-  return obj;
-}
-
-Status fault_stats_from_value(const JsonValue& obj, FaultStats& out) {
-  if (obj.kind() != JsonValue::Kind::kObject)
-    return json_error("fault stats is not an object");
-  Status s = get_long(obj, "transient_faults", out.transient_faults);
-  if (s.ok()) s = get_long(obj, "drift_events", out.drift_events);
-  if (s.ok()) s = get_long(obj, "retries", out.retries);
-  if (s.ok()) s = get_f64(obj, "backoff_seconds", out.backoff_seconds);
-  if (s.ok()) s = get_long(obj, "reacquired_rows", out.reacquired_rows);
-  if (s.ok()) s = get_long(obj, "driver_batches", out.driver_batches);
-  if (s.ok())
-    s = get_long(obj, "driver_aborted_transfers",
-                 out.driver_aborted_transfers);
-  if (s.ok())
-    s = get_long(obj, "driver_max_inflight", out.driver_max_inflight);
-  if (s.ok())
-    s = get_f64(obj, "transport_stall_seconds", out.transport_stall_seconds);
-  return s;
-}
-
-JsonValue axis_value(const VoltageAxis& axis) {
-  JsonValue obj = JsonValue::object();
-  obj.set("start", json_f64(axis.start()));
-  obj.set("step", json_f64(axis.step()));
-  obj.set("count", JsonValue::unsigned_integer(axis.count()));
-  return obj;
-}
-
-Status axis_from_value(const JsonValue& obj, VoltageAxis& out) {
-  if (obj.kind() != JsonValue::Kind::kObject)
-    return json_error("axis is not an object");
-  double start = 0.0, step = 1.0;
-  std::uint64_t count = 1;
-  Status s = get_f64(obj, "start", start);
-  if (s.ok()) s = get_f64(obj, "step", step);
-  if (s.ok()) s = get_u64(obj, "count", count);
-  if (!s.ok()) return s;
-  if (!(step > 0.0) || count < 1 || count > (1u << 24))
-    return json_error("axis with invalid step/count");
-  out = VoltageAxis(start, step, static_cast<std::size_t>(count));
-  return Status();
+  return out;
 }
 
 }  // namespace
@@ -611,521 +569,44 @@ Result<JsonValue> parse_json(std::string_view text) {
   return JsonParser(text).parse();
 }
 
-// ------------------------------------------------------------- status -----
-
 std::string status_to_json(const Status& status) {
-  JsonValue obj = status_value(status);
-  obj.set("v", JsonValue::unsigned_integer(kWireVersion));
-  return obj.dump();
+  return dump_message(status, false);
 }
 
 Status status_from_json(std::string_view text, Status& out) {
-  Result<JsonValue> doc = parse_json(text);
-  if (!doc.ok()) return doc.status();
-  Status s = check_version(doc.value());
-  if (!s.ok()) return s;
-  return status_from_value(doc.value(), out);
+  return parse_into(text, out);
 }
 
-// -------------------------------------------------------- fault stats -----
-
 std::string to_json(const FaultStats& stats) {
-  JsonValue obj = fault_stats_value(stats);
-  obj.set("v", JsonValue::unsigned_integer(kWireVersion));
-  return obj.dump();
+  return dump_message(stats, false);
 }
 
 Result<FaultStats> fault_stats_from_json(std::string_view text) {
-  Result<JsonValue> doc = parse_json(text);
-  if (!doc.ok()) return doc.status();
-  Status s = check_version(doc.value());
-  if (!s.ok()) return s;
-  FaultStats out;
-  s = fault_stats_from_value(doc.value(), out);
-  if (!s.ok()) return s;
-  return out;
+  return parse_message<FaultStats>(text);
 }
 
-// ----------------------------------------------------------- progress -----
-
 std::string to_json(const ProgressEvent& event) {
-  JsonValue obj = JsonValue::object();
-  obj.set("v", JsonValue::unsigned_integer(kWireVersion));
-  obj.set("stage", JsonValue::string(event.stage));
-  obj.set("probes_used", JsonValue::integer(event.probes_used));
-  obj.set("elapsed_seconds", json_f64(event.elapsed_seconds));
-  obj.set("sequence", JsonValue::unsigned_integer(event.sequence));
-  obj.set("timestamp_seconds", json_f64(event.timestamp_seconds));
-  return obj.dump();
+  return dump_message(event, true);
 }
 
 Result<ProgressEvent> progress_from_json(std::string_view text) {
-  Result<JsonValue> doc = parse_json(text);
-  if (!doc.ok()) return doc.status();
-  Status s = check_version(doc.value());
-  if (!s.ok()) return s;
-  ProgressEvent out;
-  std::uint64_t sequence = 0;
-  const JsonValue& obj = doc.value();
-  s = get_str(obj, "stage", out.stage);
-  if (s.ok()) s = get_long(obj, "probes_used", out.probes_used);
-  if (s.ok()) s = get_f64(obj, "elapsed_seconds", out.elapsed_seconds);
-  if (s.ok()) s = get_u64(obj, "sequence", sequence);
-  if (s.ok()) s = get_f64(obj, "timestamp_seconds", out.timestamp_seconds);
-  if (!s.ok()) return s;
-  out.sequence = static_cast<std::size_t>(sequence);
-  return out;
+  return parse_message<ProgressEvent>(text);
 }
 
-// ------------------------------------------------------------- report -----
-
 std::string to_json(const WireReport& report) {
-  JsonValue obj = JsonValue::object();
-  obj.set("v", JsonValue::unsigned_integer(kWireVersion));
-  obj.set("label", JsonValue::string(report.label));
-  obj.set("method", JsonValue::string(method_name(report.method)));
-  obj.set("status", status_value(report.status));
-  obj.set("alpha12", json_f64(report.virtual_gates.alpha12));
-  obj.set("alpha21", json_f64(report.virtual_gates.alpha21));
-  obj.set("slope_steep", json_f64(report.slope_steep));
-  obj.set("slope_shallow", json_f64(report.slope_shallow));
-  JsonValue stats = JsonValue::object();
-  stats.set("unique_probes", JsonValue::integer(report.stats.unique_probes));
-  stats.set("total_requests", JsonValue::integer(report.stats.total_requests));
-  stats.set("simulated_seconds", json_f64(report.stats.simulated_seconds));
-  stats.set("compute_seconds", json_f64(report.stats.compute_seconds));
-  obj.set("stats", std::move(stats));
-  obj.set("fault_stats", fault_stats_value(report.fault_stats));
-  obj.set("job_attempts", JsonValue::integer(report.job_attempts));
-  obj.set("wall_seconds", json_f64(report.wall_seconds));
-  JsonValue verdict = JsonValue::object();
-  verdict.set("success", JsonValue::boolean(report.verdict.success));
-  verdict.set("reason", JsonValue::string(report.verdict.reason));
-  verdict.set("alpha12_rel_error", json_f64(report.verdict.alpha12_rel_error));
-  verdict.set("alpha21_rel_error", json_f64(report.verdict.alpha21_rel_error));
-  verdict.set("virtualized_angle_deg",
-              json_f64(report.verdict.virtualized_angle_deg));
-  obj.set("verdict", std::move(verdict));
-  obj.set("has_verdict", JsonValue::boolean(report.has_verdict));
-  return obj.dump();
+  return dump_message(report, true);
 }
 
 Result<WireReport> report_from_json(std::string_view text) {
-  Result<JsonValue> doc = parse_json(text);
-  if (!doc.ok()) return doc.status();
-  Status s = check_version(doc.value());
-  if (!s.ok()) return s;
-  WireReport out;
-  const JsonValue& obj = doc.value();
-  std::string method = method_name(out.method);
-  s = get_str(obj, "label", out.label);
-  if (s.ok()) s = get_str(obj, "method", method);
-  if (s.ok()) s = parse_method(method, out.method);
-  if (s.ok()) {
-    if (const JsonValue* v = obj.find("status"))
-      s = status_from_value(*v, out.status);
-  }
-  if (s.ok()) s = get_f64(obj, "alpha12", out.virtual_gates.alpha12);
-  if (s.ok()) s = get_f64(obj, "alpha21", out.virtual_gates.alpha21);
-  if (s.ok()) s = get_f64(obj, "slope_steep", out.slope_steep);
-  if (s.ok()) s = get_f64(obj, "slope_shallow", out.slope_shallow);
-  if (s.ok()) {
-    if (const JsonValue* v = obj.find("stats")) {
-      if (v->kind() != JsonValue::Kind::kObject)
-        s = json_error("stats is not an object");
-      if (s.ok()) s = get_long(*v, "unique_probes", out.stats.unique_probes);
-      if (s.ok()) s = get_long(*v, "total_requests", out.stats.total_requests);
-      if (s.ok())
-        s = get_f64(*v, "simulated_seconds", out.stats.simulated_seconds);
-      if (s.ok())
-        s = get_f64(*v, "compute_seconds", out.stats.compute_seconds);
-    }
-  }
-  if (s.ok()) {
-    if (const JsonValue* v = obj.find("fault_stats"))
-      s = fault_stats_from_value(*v, out.fault_stats);
-  }
-  if (s.ok()) s = get_i64(obj, "job_attempts", out.job_attempts);
-  if (s.ok()) s = get_f64(obj, "wall_seconds", out.wall_seconds);
-  if (s.ok()) {
-    if (const JsonValue* v = obj.find("verdict")) {
-      if (v->kind() != JsonValue::Kind::kObject)
-        s = json_error("verdict is not an object");
-      if (s.ok()) s = get_bool(*v, "success", out.verdict.success);
-      if (s.ok()) s = get_str(*v, "reason", out.verdict.reason);
-      if (s.ok())
-        s = get_f64(*v, "alpha12_rel_error", out.verdict.alpha12_rel_error);
-      if (s.ok())
-        s = get_f64(*v, "alpha21_rel_error", out.verdict.alpha21_rel_error);
-      if (s.ok())
-        s = get_f64(*v, "virtualized_angle_deg",
-                    out.verdict.virtualized_angle_deg);
-    }
-  }
-  if (s.ok()) s = get_bool(obj, "has_verdict", out.has_verdict);
-  if (!s.ok()) return s;
-  return out;
+  return parse_message<WireReport>(text);
 }
 
-// ------------------------------------------------------------ request -----
-
 std::string to_json(const WireRequest& request) {
-  JsonValue obj = JsonValue::object();
-  obj.set("v", JsonValue::unsigned_integer(kWireVersion));
-  obj.set("method", JsonValue::string(method_name(request.method)));
-  switch (request.backend) {
-    case WireBackendKind::kNone:
-      obj.set("backend", JsonValue::string("none"));
-      break;
-    case WireBackendKind::kDevice: {
-      obj.set("backend", JsonValue::string("device"));
-      JsonValue dev = JsonValue::object();
-      const DotArrayParams& p = request.device.params;
-      JsonValue params = JsonValue::object();
-      params.set("n_dots", JsonValue::unsigned_integer(p.n_dots));
-      params.set("window_lo", json_f64(p.window_lo));
-      params.set("window_hi", json_f64(p.window_hi));
-      params.set("base_voltage", json_f64(p.base_voltage));
-      params.set("alpha_self", json_f64(p.alpha_self));
-      params.set("cross_ratio", json_f64(p.cross_ratio));
-      params.set("cross_far_decay", json_f64(p.cross_far_decay));
-      params.set("charging_energy", json_f64(p.charging_energy));
-      params.set("mutual_coupling", json_f64(p.mutual_coupling));
-      params.set("transition_fraction_x", json_f64(p.transition_fraction_x));
-      params.set("transition_fraction_y", json_f64(p.transition_fraction_y));
-      params.set("sensor_beta", json_f64(p.sensor_beta));
-      params.set("sensor_beta_falloff", json_f64(p.sensor_beta_falloff));
-      params.set("sensor_gamma", json_f64(p.sensor_gamma));
-      params.set("sensor_gamma_decay", json_f64(p.sensor_gamma_decay));
-      params.set("peak_spacing", json_f64(p.peak_spacing));
-      params.set("peak_width", json_f64(p.peak_width));
-      params.set("peak_current", json_f64(p.peak_current));
-      params.set("flank_offset", json_f64(p.flank_offset));
-      params.set("jitter", json_f64(p.jitter));
-      dev.set("params", std::move(params));
-      dev.set("has_jitter", JsonValue::boolean(request.device.has_jitter));
-      dev.set("jitter_seed",
-              JsonValue::unsigned_integer(request.device.jitter_seed));
-      dev.set("pair_index",
-              JsonValue::unsigned_integer(request.device.pair_index));
-      dev.set("noise_seed",
-              JsonValue::unsigned_integer(request.device.noise_seed));
-      dev.set("dwell_seconds", json_f64(request.device.dwell_seconds));
-      dev.set("pixels_per_axis",
-              JsonValue::unsigned_integer(request.device.pixels_per_axis));
-      dev.set("white_noise_sigma", json_f64(request.device.white_noise_sigma));
-      dev.set("pink_noise_sigma", json_f64(request.device.pink_noise_sigma));
-      dev.set("telegraph_amplitude",
-              json_f64(request.device.telegraph_amplitude));
-      dev.set("telegraph_rate_hz", json_f64(request.device.telegraph_rate_hz));
-      dev.set("frontier",
-              JsonValue::string(frontier_name(request.device.frontier)));
-      obj.set("device", std::move(dev));
-      break;
-    }
-    case WireBackendKind::kPlayback: {
-      obj.set("backend", JsonValue::string("playback"));
-      JsonValue pb = JsonValue::object();
-      const Csd& csd = request.playback.csd;
-      JsonValue cj = JsonValue::object();
-      cj.set("x_axis", axis_value(csd.x_axis()));
-      cj.set("y_axis", axis_value(csd.y_axis()));
-      cj.set("name", JsonValue::string(csd.name()));
-      if (csd.truth().has_value()) {
-        const TransitionTruth& t = *csd.truth();
-        JsonValue tj = JsonValue::object();
-        tj.set("slope_steep", json_f64(t.slope_steep));
-        tj.set("slope_shallow", json_f64(t.slope_shallow));
-        tj.set("triple_point_x", json_f64(t.triple_point.x));
-        tj.set("triple_point_y", json_f64(t.triple_point.y));
-        cj.set("truth", std::move(tj));
-      }
-      JsonValue pixels = JsonValue::array();
-      for (std::size_t y = 0; y < csd.height(); ++y)
-        for (std::size_t x = 0; x < csd.width(); ++x)
-          pixels.push_back(json_f64(csd.current(x, y)));
-      cj.set("pixels", std::move(pixels));
-      pb.set("csd", std::move(cj));
-      pb.set("dwell_seconds", json_f64(request.playback.dwell_seconds));
-      obj.set("playback", std::move(pb));
-      break;
-    }
-  }
-  if (request.x_axis.has_value()) obj.set("x_axis", axis_value(*request.x_axis));
-  if (request.y_axis.has_value()) obj.set("y_axis", axis_value(*request.y_axis));
-  obj.set("deadline_ms", JsonValue::unsigned_integer(request.deadline_ms));
-  JsonValue budget = JsonValue::object();
-  budget.set("max_probes", JsonValue::integer(request.budget.max_probes));
-  budget.set("max_wall_seconds", json_f64(request.budget.max_wall_seconds));
-  obj.set("budget", std::move(budget));
-  const FaultSchedule& fs = request.faults;
-  JsonValue faults = JsonValue::object();
-  faults.set("seed", JsonValue::unsigned_integer(fs.seed));
-  faults.set("transient_rate", json_f64(fs.transient_rate));
-  faults.set("transient_burst", JsonValue::integer(fs.transient_burst));
-  faults.set("hard_fault_rate", json_f64(fs.hard_fault_rate));
-  faults.set("stuck_rate", json_f64(fs.stuck_rate));
-  faults.set("stuck_probes", JsonValue::integer(fs.stuck_probes));
-  faults.set("latency_spike_rate", json_f64(fs.latency_spike_rate));
-  faults.set("latency_spike_seconds", json_f64(fs.latency_spike_seconds));
-  faults.set("drift_volts_per_second", json_f64(fs.drift_volts_per_second));
-  faults.set("jump_probability", json_f64(fs.jump_probability));
-  faults.set("jump_magnitude_volts", json_f64(fs.jump_magnitude_volts));
-  faults.set("jump_at_batch", JsonValue::integer(fs.jump_at_batch));
-  faults.set("drift_detect_threshold_volts",
-             json_f64(fs.drift_detect_threshold_volts));
-  faults.set("drift_detect_lag_batches",
-             JsonValue::integer(fs.drift_detect_lag_batches));
-  obj.set("faults", std::move(faults));
-  const RetryPolicy& r = request.retry;
-  JsonValue retry = JsonValue::object();
-  retry.set("max_attempts", JsonValue::integer(r.max_attempts));
-  retry.set("base_backoff_seconds", json_f64(r.base_backoff_seconds));
-  retry.set("backoff_multiplier", json_f64(r.backoff_multiplier));
-  retry.set("jitter_fraction", json_f64(r.jitter_fraction));
-  retry.set("jitter_seed", JsonValue::unsigned_integer(r.jitter_seed));
-  retry.set("wall_clock_backoff", JsonValue::boolean(r.wall_clock_backoff));
-  obj.set("retry", std::move(retry));
-  const TransportOptions& t = request.transport;
-  JsonValue transport = JsonValue::object();
-  transport.set("latency_us", json_f64(t.latency_us));
-  transport.set("bandwidth", json_f64(t.bandwidth));
-  transport.set("io_depth", JsonValue::integer(t.io_depth));
-  transport.set("wall_clock", JsonValue::boolean(t.wall_clock));
-  obj.set("transport", std::move(transport));
-  obj.set("label", JsonValue::string(request.label));
-  return obj.dump();
+  return dump_message(request, true);
 }
 
 Result<WireRequest> request_from_json(std::string_view text) {
-  Result<JsonValue> doc = parse_json(text);
-  if (!doc.ok()) return doc.status();
-  Status s = check_version(doc.value());
-  if (!s.ok()) return s;
-  WireRequest out;
-  const JsonValue& obj = doc.value();
-  std::string method = method_name(out.method);
-  s = get_str(obj, "method", method);
-  if (s.ok()) s = parse_method(method, out.method);
-  std::string backend = "none";
-  if (s.ok()) s = get_str(obj, "backend", backend);
-  if (s.ok()) {
-    if (backend == "none") out.backend = WireBackendKind::kNone;
-    else if (backend == "device") out.backend = WireBackendKind::kDevice;
-    else if (backend == "playback") out.backend = WireBackendKind::kPlayback;
-    else s = json_error("unknown backend kind '" + backend + "'");
-  }
-  if (s.ok() && out.backend == WireBackendKind::kDevice) {
-    const JsonValue* dev = obj.find("device");
-    if (dev == nullptr || dev->kind() != JsonValue::Kind::kObject) {
-      s = json_error("device backend without a device object");
-    } else {
-      if (const JsonValue* pj = dev->find("params")) {
-        if (pj->kind() != JsonValue::Kind::kObject) {
-          s = json_error("device params is not an object");
-        } else {
-          DotArrayParams& p = out.device.params;
-          s = get_size(*pj, "n_dots", p.n_dots);
-          if (s.ok()) s = get_f64(*pj, "window_lo", p.window_lo);
-          if (s.ok()) s = get_f64(*pj, "window_hi", p.window_hi);
-          if (s.ok()) s = get_f64(*pj, "base_voltage", p.base_voltage);
-          if (s.ok()) s = get_f64(*pj, "alpha_self", p.alpha_self);
-          if (s.ok()) s = get_f64(*pj, "cross_ratio", p.cross_ratio);
-          if (s.ok()) s = get_f64(*pj, "cross_far_decay", p.cross_far_decay);
-          if (s.ok()) s = get_f64(*pj, "charging_energy", p.charging_energy);
-          if (s.ok()) s = get_f64(*pj, "mutual_coupling", p.mutual_coupling);
-          if (s.ok())
-            s = get_f64(*pj, "transition_fraction_x", p.transition_fraction_x);
-          if (s.ok())
-            s = get_f64(*pj, "transition_fraction_y", p.transition_fraction_y);
-          if (s.ok()) s = get_f64(*pj, "sensor_beta", p.sensor_beta);
-          if (s.ok())
-            s = get_f64(*pj, "sensor_beta_falloff", p.sensor_beta_falloff);
-          if (s.ok()) s = get_f64(*pj, "sensor_gamma", p.sensor_gamma);
-          if (s.ok())
-            s = get_f64(*pj, "sensor_gamma_decay", p.sensor_gamma_decay);
-          if (s.ok()) s = get_f64(*pj, "peak_spacing", p.peak_spacing);
-          if (s.ok()) s = get_f64(*pj, "peak_width", p.peak_width);
-          if (s.ok()) s = get_f64(*pj, "peak_current", p.peak_current);
-          if (s.ok()) s = get_f64(*pj, "flank_offset", p.flank_offset);
-          if (s.ok()) s = get_f64(*pj, "jitter", p.jitter);
-        }
-      }
-      if (s.ok()) s = get_bool(*dev, "has_jitter", out.device.has_jitter);
-      if (s.ok()) s = get_u64(*dev, "jitter_seed", out.device.jitter_seed);
-      if (s.ok()) s = get_u64(*dev, "pair_index", out.device.pair_index);
-      if (s.ok()) s = get_u64(*dev, "noise_seed", out.device.noise_seed);
-      if (s.ok()) s = get_f64(*dev, "dwell_seconds", out.device.dwell_seconds);
-      if (s.ok())
-        s = get_u64(*dev, "pixels_per_axis", out.device.pixels_per_axis);
-      if (s.ok())
-        s = get_f64(*dev, "white_noise_sigma", out.device.white_noise_sigma);
-      if (s.ok())
-        s = get_f64(*dev, "pink_noise_sigma", out.device.pink_noise_sigma);
-      if (s.ok())
-        s = get_f64(*dev, "telegraph_amplitude",
-                    out.device.telegraph_amplitude);
-      if (s.ok())
-        s = get_f64(*dev, "telegraph_rate_hz", out.device.telegraph_rate_hz);
-      if (s.ok()) {
-        // Absent = default ("anneal"): old clients stay valid.
-        std::string frontier = frontier_name(out.device.frontier);
-        s = get_str(*dev, "frontier", frontier);
-        if (s.ok()) s = parse_frontier(frontier, out.device.frontier);
-      }
-    }
-  }
-  if (s.ok() && out.backend == WireBackendKind::kPlayback) {
-    const JsonValue* pb = obj.find("playback");
-    if (pb == nullptr || pb->kind() != JsonValue::Kind::kObject) {
-      s = json_error("playback backend without a playback object");
-    } else {
-      const JsonValue* cj = pb->find("csd");
-      if (cj == nullptr || cj->kind() != JsonValue::Kind::kObject) {
-        s = json_error("playback without a csd object");
-      } else {
-        VoltageAxis x_axis, y_axis;
-        const JsonValue* xa = cj->find("x_axis");
-        const JsonValue* ya = cj->find("y_axis");
-        if (xa == nullptr || ya == nullptr)
-          s = json_error("csd without axes");
-        if (s.ok()) s = axis_from_value(*xa, x_axis);
-        if (s.ok()) s = axis_from_value(*ya, y_axis);
-        std::string name;
-        if (s.ok()) s = get_str(*cj, "name", name);
-        std::optional<TransitionTruth> truth;
-        if (s.ok()) {
-          if (const JsonValue* tj = cj->find("truth")) {
-            if (tj->kind() != JsonValue::Kind::kObject) {
-              s = json_error("csd truth is not an object");
-            } else {
-              truth.emplace();
-              s = get_f64(*tj, "slope_steep", truth->slope_steep);
-              if (s.ok())
-                s = get_f64(*tj, "slope_shallow", truth->slope_shallow);
-              if (s.ok())
-                s = get_f64(*tj, "triple_point_x", truth->triple_point.x);
-              if (s.ok())
-                s = get_f64(*tj, "triple_point_y", truth->triple_point.y);
-            }
-          }
-        }
-        if (s.ok()) {
-          const JsonValue* pixels = cj->find("pixels");
-          if (pixels == nullptr || pixels->kind() != JsonValue::Kind::kArray) {
-            s = json_error("csd without a pixels array");
-          } else if (pixels->items().size() !=
-                     x_axis.count() * y_axis.count()) {
-            s = json_error("csd pixel count does not match axes");
-          } else {
-            Csd csd(x_axis, y_axis);
-            std::size_t i = 0;
-            for (std::size_t y = 0; s.ok() && y < csd.height(); ++y) {
-              for (std::size_t x = 0; s.ok() && x < csd.width(); ++x) {
-                const JsonValue& pv = pixels->items()[i++];
-                if (pv.kind() == JsonValue::Kind::kNumber) {
-                  csd.current(x, y) = pv.as_double();
-                } else if (pv.kind() == JsonValue::Kind::kString) {
-                  const std::string& sv = pv.as_string();
-                  if (sv == "nan") csd.current(x, y) = std::nan("");
-                  else if (sv == "inf") csd.current(x, y) = HUGE_VAL;
-                  else if (sv == "-inf") csd.current(x, y) = -HUGE_VAL;
-                  else s = json_error("csd pixel is not a number");
-                } else {
-                  s = json_error("csd pixel is not a number");
-                }
-              }
-            }
-            if (s.ok()) {
-              if (truth.has_value()) csd.set_truth(*truth);
-              csd.set_name(std::move(name));
-              out.playback.csd = std::move(csd);
-            }
-          }
-        }
-        if (s.ok())
-          s = get_f64(*pb, "dwell_seconds", out.playback.dwell_seconds);
-      }
-    }
-  }
-  if (s.ok()) {
-    if (const JsonValue* v = obj.find("x_axis")) {
-      out.x_axis.emplace();
-      s = axis_from_value(*v, *out.x_axis);
-    }
-  }
-  if (s.ok()) {
-    if (const JsonValue* v = obj.find("y_axis")) {
-      out.y_axis.emplace();
-      s = axis_from_value(*v, *out.y_axis);
-    }
-  }
-  if (s.ok()) s = get_u64(obj, "deadline_ms", out.deadline_ms);
-  if (s.ok()) {
-    if (const JsonValue* v = obj.find("budget")) {
-      if (v->kind() != JsonValue::Kind::kObject)
-        s = json_error("budget is not an object");
-      if (s.ok()) s = get_long(*v, "max_probes", out.budget.max_probes);
-      if (s.ok())
-        s = get_f64(*v, "max_wall_seconds", out.budget.max_wall_seconds);
-    }
-  }
-  if (s.ok()) {
-    if (const JsonValue* v = obj.find("faults")) {
-      if (v->kind() != JsonValue::Kind::kObject)
-        s = json_error("faults is not an object");
-      FaultSchedule& fs = out.faults;
-      if (s.ok()) s = get_u64(*v, "seed", fs.seed);
-      if (s.ok()) s = get_f64(*v, "transient_rate", fs.transient_rate);
-      if (s.ok()) s = get_int(*v, "transient_burst", fs.transient_burst);
-      if (s.ok()) s = get_f64(*v, "hard_fault_rate", fs.hard_fault_rate);
-      if (s.ok()) s = get_f64(*v, "stuck_rate", fs.stuck_rate);
-      if (s.ok()) s = get_int(*v, "stuck_probes", fs.stuck_probes);
-      if (s.ok()) s = get_f64(*v, "latency_spike_rate", fs.latency_spike_rate);
-      if (s.ok())
-        s = get_f64(*v, "latency_spike_seconds", fs.latency_spike_seconds);
-      if (s.ok())
-        s = get_f64(*v, "drift_volts_per_second", fs.drift_volts_per_second);
-      if (s.ok()) s = get_f64(*v, "jump_probability", fs.jump_probability);
-      if (s.ok())
-        s = get_f64(*v, "jump_magnitude_volts", fs.jump_magnitude_volts);
-      if (s.ok()) s = get_long(*v, "jump_at_batch", fs.jump_at_batch);
-      if (s.ok())
-        s = get_f64(*v, "drift_detect_threshold_volts",
-                    fs.drift_detect_threshold_volts);
-      if (s.ok())
-        s = get_int(*v, "drift_detect_lag_batches",
-                    fs.drift_detect_lag_batches);
-    }
-  }
-  if (s.ok()) {
-    if (const JsonValue* v = obj.find("retry")) {
-      if (v->kind() != JsonValue::Kind::kObject)
-        s = json_error("retry is not an object");
-      RetryPolicy& r = out.retry;
-      if (s.ok()) s = get_int(*v, "max_attempts", r.max_attempts);
-      if (s.ok())
-        s = get_f64(*v, "base_backoff_seconds", r.base_backoff_seconds);
-      if (s.ok()) s = get_f64(*v, "backoff_multiplier", r.backoff_multiplier);
-      if (s.ok()) s = get_f64(*v, "jitter_fraction", r.jitter_fraction);
-      if (s.ok()) s = get_u64(*v, "jitter_seed", r.jitter_seed);
-      if (s.ok()) s = get_bool(*v, "wall_clock_backoff", r.wall_clock_backoff);
-    }
-  }
-  if (s.ok()) {
-    if (const JsonValue* v = obj.find("transport")) {
-      if (v->kind() != JsonValue::Kind::kObject)
-        s = json_error("transport is not an object");
-      TransportOptions& t = out.transport;
-      if (s.ok()) s = get_f64(*v, "latency_us", t.latency_us);
-      if (s.ok()) s = get_f64(*v, "bandwidth", t.bandwidth);
-      if (s.ok()) s = get_long(*v, "io_depth", t.io_depth);
-      if (s.ok()) s = get_bool(*v, "wall_clock", t.wall_clock);
-    }
-  }
-  if (s.ok()) s = get_str(obj, "label", out.label);
-  if (!s.ok()) return s;
-  return out;
+  return parse_message<WireRequest>(text);
 }
 
 }  // namespace qvg::wire

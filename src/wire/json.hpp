@@ -1,6 +1,8 @@
 // The wire API's JSON lane: the same messages as wire/messages.hpp in a
 // human-readable encoding, plus the minimal JSON value/parser/writer it is
-// built on (dependency-free, like everything else in src/wire).
+// built on (dependency-free, like everything else in src/wire). The JSON key
+// of every field sits next to its binary tag in the field tables of
+// wire/schema.hpp, which both lanes walk; a new field is one row there.
 //
 // Fidelity rules:
 //   * Doubles print with %.17g — enough digits that every finite IEEE-754

@@ -1,6 +1,8 @@
 // The wire API's message set: self-contained request/report/progress/status
 // messages with exact binary round trips (wire/codec.hpp) and a JSON lane
-// (wire/json.hpp).
+// (wire/json.hpp). Both lanes encode and decode every message from its field
+// table in wire/schema.hpp: a new or reserved field is one row there, not a
+// change to either codec.
 //
 // ExtractionRequest cannot travel as-is: its backends borrow process-local
 // pointers (const BuiltDevice*, const Csd*). WireRequest is the
@@ -118,7 +120,8 @@ struct MaterializedRequest {
 
 /// Validate and materialize: rebuild the backend, wire up the borrowed
 /// pointers, and anchor deadline_ms at now. Fails with kInvalidRequest on a
-/// missing/ambiguous backend or out-of-range enum values.
+/// missing/ambiguous backend, out-of-range enum values, or a scan axis
+/// (pixels_per_axis or a window override) above 4096 points.
 [[nodiscard]] Result<MaterializedRequest> materialize(const WireRequest& wire);
 
 /// The serializable extraction report (see the header comment for what is

@@ -5,12 +5,15 @@
 // WireRequests into engine-runnable requests with typed validation.
 #include "wire/json.hpp"
 #include "wire/messages.hpp"
+#include "wire/schema.hpp"
 
 #include "common/random.hpp"
 #include "test_support.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -1511,6 +1514,250 @@ TEST(WireJsonTest, FrontierStringIsOptionalAndValidated) {
   std::string bogus = json;
   bogus.replace(bogus.find("\"anneal\""), 8, "\"warp\"");
   EXPECT_FALSE(request_from_json(bogus).ok());
+}
+
+
+// ------------------------------------------------ untrusted-input bounds ---
+
+TEST(WireMaterializeTest, ScanWindowOverrideIsBoundedOnBothLanes) {
+  // An override axis sizes the raster like pixels_per_axis does: two
+  // 65536-point axes would ask the Hough baseline for ~34 GB.
+  for (const bool device : {true, false}) {
+    WireRequest request =
+        device ? sample_device_request(0) : sample_playback_request();
+    request.method = ExtractionMethod::kHoughBaseline;
+    for (const std::size_t points : {4096u, 4097u, 65536u}) {
+      for (const bool both : {false, true}) {
+        request.x_axis = VoltageAxis(-0.5, 1e-5, points);
+        request.y_axis = VoltageAxis(-0.5, 1e-5, both ? points : 40);
+        Result<WireRequest> binary = decode_request(encode(request));
+        ASSERT_TRUE(binary.ok()) << binary.status().message();
+        Result<WireRequest> json = request_from_json(to_json(request));
+        ASSERT_TRUE(json.ok()) << json.status().message();
+        for (const WireRequest* decoded : {&binary.value(), &json.value()}) {
+          const Status status = materialize(*decoded).status();
+          if (points <= 4096)
+            EXPECT_TRUE(status.ok()) << status.message();
+          else
+            EXPECT_EQ(status.code(), ErrorCode::kInvalidRequest)
+                << points << " points, device " << device;
+        }
+      }
+    }
+  }
+}
+
+/// `text` with the number after "key": replaced by `value`.
+std::string with_number(std::string text, const std::string& key,
+                        const std::string& value) {
+  const std::size_t at = text.find("\"" + key + "\":");
+  EXPECT_NE(at, std::string::npos) << key;
+  const std::size_t begin = at + key.size() + 3;
+  text.replace(begin, text.find_first_of(",}", begin) - begin, value);
+  return text;
+}
+
+TEST(WireCodecTest, IntegersThatDoNotFitTheirMemberAreParseErrors) {
+  // (request tag, nested tag) of every int member: retry.max_attempts and
+  // faults.transient_burst / stuck_probes / drift_detect_lag_batches.
+  const std::pair<std::uint8_t, std::uint8_t> ints[] = {
+      {10, 1}, {9, 3}, {9, 6}, {9, 14}};
+  for (const auto& [outer, inner] : ints) {
+    for (const std::int64_t value :
+         {std::int64_t{4294967297}, std::int64_t{INT_MAX} + 1,
+          std::int64_t{INT_MIN} - 1, std::int64_t{INT_MAX},
+          std::int64_t{INT_MIN}}) {
+      WireWriter nested;
+      nested.i64(inner, value);
+      WireWriter w;
+      w.begin(MessageKind::kRequest);
+      w.msg(outer, nested);
+      const Status status = decode_request(std::move(w).take()).status();
+      if (value >= INT_MIN && value <= INT_MAX)
+        EXPECT_TRUE(status.ok()) << status.message();
+      else
+        EXPECT_EQ(status.code(), ErrorCode::kParseError)
+            << int{outer} << "/" << int{inner} << " = " << value;
+    }
+  }
+}
+
+TEST(WireJsonTest, IntegersThatDoNotFitTheirMemberAreParseErrors) {
+  const std::string text = to_json(WireRequest{});
+  for (const char* key : {"max_attempts", "transient_burst", "stuck_probes",
+                          "drift_detect_lag_batches"}) {
+    for (const std::string value :
+         {"4294967297", "2147483648", "-2147483649", "2147483647",
+          "-2147483648"}) {
+      Result<WireRequest> decoded =
+          request_from_json(with_number(text, key, value));
+      if (value == "2147483647" || value == "-2147483648")
+        EXPECT_TRUE(decoded.ok()) << decoded.status().message();
+      else
+        EXPECT_EQ(decoded.status().code(), ErrorCode::kParseError)
+            << key << " = " << value;
+    }
+  }
+}
+
+TEST(WireCodecTest, ANamedBackendWithoutItsMessageIsAParseError) {
+  // On both lanes the backend a request names must travel with it...
+  for (const auto backend :
+       {WireBackendKind::kDevice, WireBackendKind::kPlayback}) {
+    WireWriter w;
+    w.begin(MessageKind::kRequest);
+    w.u64(2, static_cast<std::uint64_t>(backend));
+    EXPECT_EQ(decode_request(std::move(w).take()).status().code(),
+              ErrorCode::kParseError);
+  }
+  for (const char* text :
+       {R"({"v":1,"backend":"device"})", R"({"v":1,"backend":"playback"})"})
+    EXPECT_EQ(request_from_json(text).status().code(), ErrorCode::kParseError)
+        << text;
+  // ...and a playback backend must carry its diagram.
+  WireWriter playback;
+  playback.f64(2, 0.1);
+  WireWriter w;
+  w.begin(MessageKind::kRequest);
+  w.u64(2, static_cast<std::uint64_t>(WireBackendKind::kPlayback));
+  w.msg(4, playback);
+  EXPECT_EQ(decode_request(std::move(w).take()).status().code(),
+            ErrorCode::kParseError);
+  const char* text =
+      R"({"v":1,"backend":"playback","playback":{"dwell_seconds":0.1}})";
+  EXPECT_EQ(request_from_json(text).status().code(), ErrorCode::kParseError);
+}
+
+// ---------------------------------------------------- table self-check ----
+
+template <typename T>
+constexpr bool rows_are_distinct() {
+  std::array<std::uint8_t, schema::kRowCount<T>> tags{};
+  std::array<std::string_view, schema::kRowCount<T>> keys{};
+  schema::for_each_row<T>([&](const auto& row, std::size_t i) {
+    tags[i] = row.tag;
+    keys[i] = row.key;
+  });
+  for (std::size_t i = 0; i < tags.size(); ++i)
+    for (std::size_t j = i + 1; j < tags.size(); ++j)
+      if (tags[i] == tags[j] || keys[i] == keys[j]) return false;
+  return true;
+}
+
+static_assert(rows_are_distinct<schema::AxisFields>());
+static_assert(rows_are_distinct<schema::CsdFields>());
+static_assert(rows_are_distinct<schema::StatusFields>());
+static_assert(rows_are_distinct<TransitionTruth>());
+static_assert(rows_are_distinct<DotArrayParams>());
+static_assert(rows_are_distinct<WireDeviceBackend>());
+static_assert(rows_are_distinct<WirePlaybackBackend>());
+static_assert(rows_are_distinct<Budget>());
+static_assert(rows_are_distinct<FaultSchedule>());
+static_assert(rows_are_distinct<RetryPolicy>());
+static_assert(rows_are_distinct<TransportOptions>());
+static_assert(rows_are_distinct<WireRequest>());
+static_assert(rows_are_distinct<ProbeStats>());
+static_assert(rows_are_distinct<FaultStats>());
+static_assert(rows_are_distinct<Verdict>());
+static_assert(rows_are_distinct<WireReport>());
+static_assert(rows_are_distinct<ProgressEvent>());
+
+/// Keeps a diagram proxy consistent with its (possibly poked) axes.
+void fix_up(auto&) {}
+void fix_up(schema::CsdFields& csd) {
+  csd.pixels.resize(csd.x_axis->count() * csd.y_axis->count(), 0.25);
+}
+
+/// Walks every row under `message` that travels, through nested tables and
+/// proxies, numbering them from `index`; the `target`-th is set to a value
+/// its default does not have, and `key` names it.
+template <typename T>
+void poke_row(T& message, std::size_t& index, std::size_t target,
+              std::string& key) {
+  if constexpr (schema::Proxied<T>) {
+    auto proxy = schema::fields_of(message);
+    poke_row(proxy, index, target, key);
+    fix_up(proxy);
+    EXPECT_EQ(schema::assign(message, std::move(proxy)), "") << key;
+  } else {
+    schema::for_each_row<T>([&](const auto& row, std::size_t) {
+      // The backend picks which sub-message travels; the two request bases
+      // of the test below cover one each.
+      if (!row.when(message) || row.key == "backend") return;
+      auto& value = std::invoke(row.get, message);
+      using V = std::remove_cvref_t<decltype(value)>;
+      if constexpr (schema::Message<V>) {
+        poke_row(value, index, target, key);
+      } else if constexpr (schema::kIsOptional<V>) {
+        if (value.has_value()) {
+          poke_row(*value, index, target, key);
+        } else if (index++ == target) {
+          value.emplace();
+          key = row.key;
+        }
+      } else if (index++ == target) {
+        key = row.key;
+        if constexpr (schema::kNamed<decltype(row)>)
+          value = static_cast<V>((static_cast<std::size_t>(value) + 1) %
+                                 row.names.size());
+        else if constexpr (std::is_same_v<V, bool>)
+          value = !value;
+        else if constexpr (std::is_same_v<V, std::string>)
+          value += "+";
+        else if constexpr (std::is_same_v<V, std::vector<double>>)
+          for (double& v : value) v += 1.0;
+        else
+          value = static_cast<V>(value + 3);
+      }
+    });
+  }
+}
+
+/// Every row under `base` changes both encodings when poked, and the poked
+/// message round-trips on both lanes: no row is written but never read, or
+/// read but never written.
+template <typename M>
+void expect_every_row_travels(const M& base, const std::string& what) {
+  const std::vector<std::uint8_t> base_bytes = binary_of(base);
+  const std::string base_json = json_of(base);
+  std::size_t rows = 0;
+  for (std::size_t target = 0;; ++target) {
+    M poked = base;
+    std::size_t index = 0;
+    std::string key;
+    poke_row(poked, index, target, key);
+    if (target >= index) break;
+    rows = index;
+    SCOPED_TRACE(what + " row " + std::to_string(target) + " '" + key + "'");
+    EXPECT_NE(binary_of(poked), base_bytes);
+    EXPECT_NE(json_of(poked), base_json);
+    if constexpr (std::is_same_v<M, Status>) {
+      Status from_binary, from_text;
+      ASSERT_TRUE(decode_status(binary_of(poked), from_binary).ok());
+      ASSERT_TRUE(status_from_json(json_of(poked), from_text).ok());
+      EXPECT_EQ(from_binary, poked);
+      EXPECT_EQ(from_text, poked);
+    } else {
+      Result<M> from_binary = decode_binary<M>(binary_of(poked));
+      ASSERT_TRUE(from_binary.ok()) << from_binary.status().message();
+      EXPECT_TRUE(from_binary.value() == poked);
+      Result<M> from_text = decode_text<M>(json_of(poked));
+      ASSERT_TRUE(from_text.ok()) << from_text.status().message();
+      EXPECT_TRUE(from_text.value() == poked);
+    }
+  }
+  EXPECT_GT(rows, 0u) << what;
+}
+
+TEST(WireSchemaTest, EveryRowChangesBothEncodingsAndRoundTrips) {
+  expect_every_row_travels(golden_device_request(), "device request");
+  expect_every_row_travels(sample_playback_request(), "playback request");
+  expect_every_row_travels(golden_report(ErrorCode::kPairFailed), "report");
+  expect_every_row_travels(golden_progress(), "progress");
+  expect_every_row_travels(golden_fault_stats(), "fault stats");
+  expect_every_row_travels(
+      Status::failure(ErrorCode::kDeviceDrifted, "raster", "drift"),
+      "status");
 }
 
 }  // namespace
