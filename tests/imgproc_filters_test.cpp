@@ -1,6 +1,5 @@
 #include "common/random.hpp"
 #include "imgproc/filters.hpp"
-#include "imgproc/threshold.hpp"
 #include "linalg/stats.hpp"
 
 #include <gtest/gtest.h>
@@ -76,29 +75,6 @@ TEST(Normalize01Test, ConstantImageMapsToZero) {
   GridD image(3, 3, 7.0);
   const GridD out = normalize01(image);
   for (double v : out.raw()) EXPECT_DOUBLE_EQ(v, 0.0);
-}
-
-TEST(OtsuTest, SeparatesBimodalImage) {
-  GridD image(10, 10);
-  for (std::size_t y = 0; y < 10; ++y)
-    for (std::size_t x = 0; x < 10; ++x) image(x, y) = x < 5 ? 0.1 : 0.9;
-  const double t = otsu_threshold(image);
-  EXPECT_GT(t, 0.1);
-  EXPECT_LT(t, 0.9);
-}
-
-TEST(OtsuTest, ConstantImageReturnsValue) {
-  GridD image(4, 4, 3.0);
-  EXPECT_DOUBLE_EQ(otsu_threshold(image), 3.0);
-}
-
-TEST(BinarizeTest, ThresholdApplied) {
-  GridD image(2, 1);
-  image(0, 0) = 0.2;
-  image(1, 0) = 0.8;
-  const GridU8 out = binarize(image, 0.5);
-  EXPECT_EQ(out(0, 0), 0);
-  EXPECT_EQ(out(1, 0), 1);
 }
 
 }  // namespace
