@@ -88,6 +88,8 @@ void append_value(std::string& out, const JsonValue& v) {
   }
 }
 
+}  // namespace
+
 // ------------------------------------------------------------- parser -----
 
 /// Recursive-descent parser over a borrowed string_view. Depth-limited so a
@@ -287,7 +289,9 @@ class JsonParser {
       errno = 0;
       const long long v = std::strtoll(token.c_str(), &end, 10);
       if (errno == ERANGE) return JsonValue::number(d);
-      return JsonValue::integer(v);
+      JsonValue value = JsonValue::integer(v);
+      value.number_ = d;  // -0.0 for "-0": the sign a double field needs
+      return value;
     }
     errno = 0;
     const unsigned long long v = std::strtoull(token.c_str(), &end, 10);
@@ -298,6 +302,8 @@ class JsonParser {
   std::string_view text_;
   std::size_t pos_ = 0;
 };
+
+namespace {
 
 // ------------------------------------------------------------- walker -----
 

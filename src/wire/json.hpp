@@ -35,6 +35,8 @@
 
 namespace qvg::wire {
 
+class JsonParser;
+
 /// A parsed JSON value (tree-owning).
 class JsonValue {
  public:
@@ -85,6 +87,10 @@ class JsonValue {
   [[nodiscard]] std::string dump() const;
 
  private:
+  // The parser sets the double reading of integer text itself, so "-0"
+  // keeps its sign for double fields while reading as 0 for integer fields.
+  friend class JsonParser;
+
   Kind kind_ = Kind::kNull;
   bool bool_ = false;
   double number_ = 0.0;

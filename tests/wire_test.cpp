@@ -1600,6 +1600,39 @@ TEST(WireJsonTest, IntegersThatDoNotFitTheirMemberAreParseErrors) {
   }
 }
 
+TEST(WireJsonTest, NegativeZeroKeepsItsSignOnDoubleFieldsOnly) {
+  // The token "-0" is integral text: it must still read as the integer 0,
+  // but its double reading is -0.0.
+  Result<JsonValue> parsed = parse_json("-0");
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_TRUE(std::signbit(parsed.value().as_double()));
+  ASSERT_TRUE(parsed.value().exact_i64());
+  EXPECT_EQ(parsed.value().as_i64(), 0);
+
+  // Double fields: -0.0 survives the JSON lane like it does the binary one.
+  WireReport report = sample_report(ErrorCode::kOk);
+  report.slope_steep = -0.0;
+  report.virtual_gates.alpha12 = -0.0;
+  const std::string text = to_json(report);
+  ASSERT_NE(text.find(":-0,"), std::string::npos) << text;
+  Result<WireReport> decoded = report_from_json(text);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+  EXPECT_TRUE(std::signbit(decoded.value().slope_steep));
+  EXPECT_TRUE(std::signbit(decoded.value().virtual_gates.alpha12));
+  Result<WireReport> binary = decode_report(encode(report));
+  ASSERT_TRUE(binary.ok()) << binary.status().message();
+  EXPECT_TRUE(std::signbit(binary.value().slope_steep));
+
+  // Integer fields: "-0" still decodes to 0.
+  const std::string request_text =
+      with_number(with_number(to_json(WireRequest{}), "max_attempts", "-0"),
+                  "transient_burst", "-0");
+  Result<WireRequest> request = request_from_json(request_text);
+  ASSERT_TRUE(request.ok()) << request.status().message();
+  EXPECT_EQ(request.value().retry.max_attempts, 0);
+  EXPECT_EQ(request.value().faults.transient_burst, 0);
+}
+
 TEST(WireCodecTest, ANamedBackendWithoutItsMessageIsAParseError) {
   // On both lanes the backend a request names must travel with it...
   for (const auto backend :
