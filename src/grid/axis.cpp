@@ -2,9 +2,6 @@
 
 #include "common/assert.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 namespace qvg {
 
 VoltageAxis::VoltageAxis(double start, double step, std::size_t count)
@@ -18,13 +15,6 @@ VoltageAxis VoltageAxis::over_range(double lo, double hi, std::size_t count) {
   QVG_EXPECTS(count >= 2);
   const double step = (hi - lo) / static_cast<double>(count - 1);
   return VoltageAxis(lo, step, count);
-}
-
-std::size_t VoltageAxis::nearest_index(double voltage) const noexcept {
-  const double idx = std::round(index_of(voltage));
-  if (idx <= 0.0) return 0;
-  const auto i = static_cast<std::size_t>(idx);
-  return std::min(i, count_ - 1);
 }
 
 }  // namespace qvg

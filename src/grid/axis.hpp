@@ -2,6 +2,8 @@
 // voltages. A charge stability diagram has one axis per plunger gate.
 #pragma once
 
+#include "common/rounding.hpp"
+
 #include <cstddef>
 
 namespace qvg {
@@ -34,8 +36,16 @@ class VoltageAxis {
     return (voltage - start_) / step_;
   }
 
-  /// Nearest in-range pixel index of a voltage (clamped).
-  [[nodiscard]] std::size_t nearest_index(double voltage) const noexcept;
+  /// Nearest in-range pixel index of a voltage (clamped; ties round away
+  /// from zero like std::round). Inline: playback calls it twice per probe.
+  /// NaN and voltages past the last pixel map to the last index.
+  [[nodiscard]] std::size_t nearest_index(double voltage) const noexcept {
+    const double idx = index_of(voltage);
+    const std::size_t last = count_ - 1;
+    if (!(idx < static_cast<double>(last))) return last;
+    if (!(idx > 0.0)) return 0;
+    return static_cast<std::size_t>(round_half_away(idx));
+  }
 
   [[nodiscard]] bool in_range(double voltage) const noexcept {
     return voltage >= start_ - 0.5 * step_ && voltage <= end() + 0.5 * step_;

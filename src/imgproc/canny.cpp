@@ -7,12 +7,19 @@
 #include "linalg/stats.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 #include <vector>
 
 namespace qvg {
 
 namespace {
+
+/// Pixel classes of the NMS map; hysteresis turns reached pixels into kEdge.
+constexpr std::uint8_t kNone = 0;
+constexpr std::uint8_t kWeak = 1;
+constexpr std::uint8_t kStrong = 2;
+constexpr std::uint8_t kEdge = 3;
 
 /// NMS neighbor offsets along the gradient, indexed by sector.
 constexpr int kSectorNeighbors[4][2][2] = {
@@ -60,79 +67,104 @@ int canny_sector_reference(double gx, double gy) {
 
 namespace {
 
-/// Shared back half of the detector: threshold resolution, NMS, hysteresis.
-/// `reference` selects the atan2 sector oracle instead of the ladder.
-GridU8 canny_impl(const GridD& image, const CannyOptions& opt,
-                  const GradientField& grad, bool reference) {
+/// Shared back half of the detector: threshold resolution, NMS, hysteresis
+/// over a magnitude image. `sector_of(x, y)` gives the NMS direction sector
+/// of a pixel (the ladder for canny, the atan2 oracle for canny_reference);
+/// it is called only for pixels that reach the low threshold.
+template <typename SectorOf>
+GridU8 canny_impl(const CannyOptions& opt, const GridD& magnitude,
+                  SectorOf sector_of) {
   // Resolve thresholds.
   double low = opt.low_threshold;
   double high = opt.high_threshold;
   if (low < 0.0 || high < 0.0) {
     std::vector<double> nonzero;
-    nonzero.reserve(grad.magnitude.raw().size());
-    for (double m : grad.magnitude.raw())
+    nonzero.reserve(magnitude.raw().size());
+    for (double m : magnitude.raw())
       if (m > 1e-12) nonzero.push_back(m);
-    if (nonzero.empty()) return GridU8(image.width(), image.height(), 0);
+    if (nonzero.empty()) return GridU8(magnitude.width(), magnitude.height(), 0);
     if (low < 0.0) low = percentile(nonzero, opt.low_quantile * 100.0);
     if (high < 0.0) high = percentile(nonzero, opt.high_quantile * 100.0);
   }
   QVG_ENSURES(high >= low);
 
-  const auto w = image.width();
-  const auto h = image.height();
+  const auto w = magnitude.width();
+  const auto h = magnitude.height();
+  const auto sw = static_cast<std::ptrdiff_t>(w);
 
-  // Non-maximum suppression. Pure per-pixel function of the gradient field,
-  // so the row-parallel scan is bit-identical to the serial one.
-  GridD thinned(w, h, 0.0);
+  // Non-maximum suppression into a class map. A pixel keeps its magnitude t
+  // when it reaches `low` and is a maximum along its gradient sector (else
+  // t = 0), and is classified by t: strong (t >= high), weak (t >= low) or
+  // none. Classifying a suppressed pixel as t = 0 keeps thresholds <= 0
+  // exact. Pure per-pixel function of the gradient field, so the
+  // row-parallel scan is bit-identical to the serial one. Interior pixels
+  // read their two neighbours at fixed offsets; the outer ring clamps. The
+  // class map is the edge map's own storage: no intermediate image.
+  GridU8 edges(w, h, kNone);
+  const auto classify = [&](double t) -> std::uint8_t {
+    return t >= high ? kStrong : t >= low ? kWeak : kNone;
+  };
+  const std::uint8_t suppressed = classify(0.0);
+  std::ptrdiff_t offsets[4][2];
+  for (int s = 0; s < 4; ++s)
+    for (int j = 0; j < 2; ++j)
+      offsets[s][j] = kSectorNeighbors[s][j][0] + kSectorNeighbors[s][j][1] * sw;
+  const double* mag = magnitude.raw().data();
+  std::uint8_t* cls = edges.raw().data();
   parallel_for_rows(h, [&](std::size_t y0, std::size_t y1) {
     for (std::size_t y = y0; y < y1; ++y) {
+      const bool interior_row = y >= 1 && y + 1 < h;
       for (std::size_t x = 0; x < w; ++x) {
-        const double m = grad.magnitude(x, y);
-        if (m < low) continue;
-        const int sector = reference
-                               ? canny_sector_reference(grad.gx(x, y),
-                                                        grad.gy(x, y))
-                               : canny_sector(grad.gx(x, y), grad.gy(x, y));
-        const auto& n = kSectorNeighbors[sector];
-        const double m1 = grad.magnitude.clamped(
-            static_cast<std::ptrdiff_t>(x) + n[0][0],
-            static_cast<std::ptrdiff_t>(y) + n[0][1]);
-        const double m2 = grad.magnitude.clamped(
-            static_cast<std::ptrdiff_t>(x) + n[1][0],
-            static_cast<std::ptrdiff_t>(y) + n[1][1]);
-        if (m >= m1 && m >= m2) thinned(x, y) = m;
+        const std::size_t i = y * w + x;
+        const double m = mag[i];
+        std::uint8_t c = suppressed;
+        if (!(m < low)) {
+          const int sector = sector_of(x, y);
+          double m1;
+          double m2;
+          if (interior_row && x >= 1 && x + 1 < w) {
+            m1 = mag[static_cast<std::ptrdiff_t>(i) + offsets[sector][0]];
+            m2 = mag[static_cast<std::ptrdiff_t>(i) + offsets[sector][1]];
+          } else {
+            const auto& n = kSectorNeighbors[sector];
+            const auto px = static_cast<std::ptrdiff_t>(x);
+            const auto py = static_cast<std::ptrdiff_t>(y);
+            m1 = magnitude.clamped(px + n[0][0], py + n[0][1]);
+            m2 = magnitude.clamped(px + n[1][0], py + n[1][1]);
+          }
+          if (m >= m1 && m >= m2) c = classify(m);
+        }
+        cls[i] = c;
       }
     }
   });
 
-  // Hysteresis: strong pixels seed a flood fill through weak pixels.
-  GridU8 edges(w, h, 0);
-  std::vector<std::pair<std::size_t, std::size_t>> stack;
-  for (std::size_t y = 0; y < h; ++y)
-    for (std::size_t x = 0; x < w; ++x)
-      if (thinned(x, y) >= high) {
-        edges(x, y) = 1;
-        stack.emplace_back(x, y);
-      }
-
+  // Hysteresis: strong pixels seed a flood fill through weak pixels,
+  // marking every reached pixel kEdge in place; the edge set is the 8-way
+  // closure of the strong pixels, whatever the visiting order.
+  std::vector<std::size_t> stack;
+  for (std::size_t i = 0; i < w * h; ++i)
+    if (cls[i] == kStrong) {
+      cls[i] = kEdge;
+      stack.push_back(i);
+    }
   while (!stack.empty()) {
-    const auto [cx, cy] = stack.back();
+    const std::size_t i = stack.back();
     stack.pop_back();
-    for (int dy = -1; dy <= 1; ++dy) {
-      for (int dx = -1; dx <= 1; ++dx) {
-        if (dx == 0 && dy == 0) continue;
-        const auto nx = static_cast<std::ptrdiff_t>(cx) + dx;
-        const auto ny = static_cast<std::ptrdiff_t>(cy) + dy;
-        if (!edges.in_bounds(nx, ny)) continue;
-        const auto ux = static_cast<std::size_t>(nx);
-        const auto uy = static_cast<std::size_t>(ny);
-        if (edges(ux, uy) == 0 && thinned(ux, uy) >= low) {
-          edges(ux, uy) = 1;
-          stack.emplace_back(ux, uy);
+    const auto cx = static_cast<std::ptrdiff_t>(i % w);
+    const auto cy = static_cast<std::ptrdiff_t>(i / w);
+    for (std::ptrdiff_t dy = -1; dy <= 1; ++dy) {
+      for (std::ptrdiff_t dx = -1; dx <= 1; ++dx) {
+        if (!edges.in_bounds(cx + dx, cy + dy)) continue;
+        const auto j = static_cast<std::size_t>((cy + dy) * sw + cx + dx);
+        if (cls[j] == kWeak) {
+          cls[j] = kEdge;
+          stack.push_back(j);
         }
       }
     }
   }
+  for (std::size_t i = 0; i < w * h; ++i) cls[i] = cls[i] == kEdge ? 1 : 0;
   return edges;
 }
 
@@ -142,7 +174,9 @@ GridU8 canny(const GridD& image, const CannyOptions& opt) {
   QVG_EXPECTS(image.width() >= 3 && image.height() >= 3);
   const GridD smoothed = gaussian_blur(image, opt.gaussian_sigma);
   const GradientField grad = sobel_gradients(smoothed);
-  return canny_impl(image, opt, grad, /*reference=*/false);
+  return canny_impl(opt, grad.magnitude, [&](std::size_t x, std::size_t y) {
+    return canny_sector(grad.gx(x, y), grad.gy(x, y));
+  });
 }
 
 GridU8 canny_reference(const GridD& image, const CannyOptions& opt) {
@@ -152,7 +186,9 @@ GridU8 canny_reference(const GridD& image, const CannyOptions& opt) {
   // lives in the hypot magnitude and atan2 sectors.
   const GridD smoothed = gaussian_blur(image, opt.gaussian_sigma);
   const GradientField grad = sobel_gradients_reference(smoothed);
-  return canny_impl(image, opt, grad, /*reference=*/true);
+  return canny_impl(opt, grad.magnitude, [&](std::size_t x, std::size_t y) {
+    return canny_sector_reference(grad.gx(x, y), grad.gy(x, y));
+  });
 }
 
 }  // namespace qvg

@@ -2,16 +2,20 @@
 // suppression, double-threshold hysteresis. This is the edge-detection stage
 // of the paper's baseline (OpenCV Canny in the original evaluation).
 //
-// Hot-path form (PR 7): the Gaussian and Sobel stages run the SIMD
-// convolution interiors, the gradient magnitude is the lane-parallel sqrt
-// form, and NMS classifies gradient directions with a branch-light tangent
-// comparison ladder (canny_sector) instead of a per-pixel atan2.
-// canny_reference keeps the pre-SIMD pipeline (hypot magnitude + atan2
-// sectors) as the exact-path ablation; sectors agree with the reference on
-// every non-boundary gradient (pinned exhaustively on an integer gradient
-// sweep — only directions within rounding distance of the 22.5-degree
-// sector boundaries, a measure-zero set the sweep proves empty for real
-// Sobel outputs, may differ), and edge maps are compared in the kernel
+// Hot-path form: the Gaussian runs the streaming SIMD separable correlation,
+// the Sobel field is one fused pass, and NMS classifies the direction of
+// each pixel that reaches the low threshold with a branch-light tangent
+// comparison ladder (canny_sector) instead of a per-pixel atan2. NMS writes
+// each pixel's strong / weak / none class straight into the edge map's
+// storage (interior pixels read their neighbours at fixed offsets, only the
+// outer ring clamps), and hysteresis floods over that map in place; no
+// intermediate thinned image exists. canny_reference
+// keeps the pre-SIMD pipeline (hypot magnitude + atan2 sectors) as the
+// exact-path ablation; sectors agree with the reference on every
+// non-boundary gradient (pinned exhaustively on an integer gradient sweep —
+// only directions within rounding distance of the 22.5-degree sector
+// boundaries, a measure-zero set the sweep proves empty for real Sobel
+// outputs, may differ), and edge maps are compared in the kernel
 // equivalence tests and the bench harness.
 #pragma once
 

@@ -4,6 +4,8 @@
 #include "common/simd.hpp"
 #include "common/thread_pool.hpp"
 
+#include <cstring>
+
 namespace qvg {
 
 InteriorSpan kernel_interior_span(std::ptrdiff_t extent, std::ptrdiff_t anchor,
@@ -21,31 +23,78 @@ InteriorSpan kernel_interior_span(std::ptrdiff_t extent, std::ptrdiff_t anchor,
 
 namespace {
 
-double sample(const GridD& image, std::ptrdiff_t x, std::ptrdiff_t y,
-              BorderMode border) {
-  if (image.in_bounds(x, y))
-    return image(static_cast<std::size_t>(x), static_cast<std::size_t>(y));
+/// Source index for coordinate `v` on an axis of `n` pixels under `border`:
+/// `v` itself when in range, otherwise the clamped or reflected index, or -1
+/// for a zero-border pixel.
+std::ptrdiff_t border_index(std::ptrdiff_t v, std::ptrdiff_t n,
+                            BorderMode border) {
+  if (v >= 0 && v < n) return v;
   switch (border) {
     case BorderMode::kZero:
-      return 0.0;
+      return -1;
     case BorderMode::kReplicate:
-      return image.clamped(x, y);
-    case BorderMode::kReflect: {
-      const auto w = static_cast<std::ptrdiff_t>(image.width());
-      const auto h = static_cast<std::ptrdiff_t>(image.height());
-      auto reflect = [](std::ptrdiff_t v, std::ptrdiff_t n) {
-        // Reflect-101 style without repeating the border pixel.
-        while (v < 0 || v >= n) {
-          if (v < 0) v = -v;
-          if (v >= n) v = 2 * (n - 1) - v;
-        }
-        return v;
-      };
-      return image(static_cast<std::size_t>(reflect(x, w)),
-                   static_cast<std::size_t>(reflect(y, h)));
-    }
+      return v < 0 ? 0 : n - 1;
+    case BorderMode::kReflect:
+      // Reflect-101 style without repeating the border pixel.
+      while (v < 0 || v >= n) {
+        if (v < 0) v = -v;
+        if (v >= n) v = 2 * (n - 1) - v;
+      }
+      return v;
   }
-  return 0.0;
+  return -1;
+}
+
+double sample(const GridD& image, std::ptrdiff_t x, std::ptrdiff_t y,
+              BorderMode border) {
+  const std::ptrdiff_t sx =
+      border_index(x, static_cast<std::ptrdiff_t>(image.width()), border);
+  const std::ptrdiff_t sy =
+      border_index(y, static_cast<std::ptrdiff_t>(image.height()), border);
+  if (sx < 0 || sy < 0) return 0.0;
+  return image(static_cast<std::size_t>(sx), static_cast<std::size_t>(sy));
+}
+
+/// out[x] = sum_k w[k] * src[k][x] for x in [0, n): every output starts at
+/// 0.0 and adds its taps in ascending k, exactly the scalar reference loop.
+/// The SIMD interior keeps four VecD accumulators (4 * kLanes pixels) in
+/// registers per step, so consecutive taps' add latencies overlap; one
+/// vector at a time and a scalar tail finish the row. Every convolution
+/// path runs its pixels through here.
+void weighted_sum(const double* const* src, const double* w, std::size_t taps,
+                  double* out, std::ptrdiff_t n) {
+  using simd::VecD;
+  constexpr auto kLanes = static_cast<std::ptrdiff_t>(VecD::kLanes);
+  std::ptrdiff_t x = 0;
+  for (; x + 4 * kLanes <= n; x += 4 * kLanes) {
+    VecD a0 = VecD::zero();
+    VecD a1 = VecD::zero();
+    VecD a2 = VecD::zero();
+    VecD a3 = VecD::zero();
+    for (std::size_t k = 0; k < taps; ++k) {
+      const VecD wk = VecD::broadcast(w[k]);
+      const double* s = src[k] + x;
+      a0 += wk * VecD::load(s);
+      a1 += wk * VecD::load(s + kLanes);
+      a2 += wk * VecD::load(s + 2 * kLanes);
+      a3 += wk * VecD::load(s + 3 * kLanes);
+    }
+    a0.store(out + x);
+    a1.store(out + x + kLanes);
+    a2.store(out + x + 2 * kLanes);
+    a3.store(out + x + 3 * kLanes);
+  }
+  for (; x + kLanes <= n; x += kLanes) {
+    VecD acc = VecD::zero();
+    for (std::size_t k = 0; k < taps; ++k)
+      acc += VecD::broadcast(w[k]) * VecD::load(src[k] + x);
+    acc.store(out + x);
+  }
+  for (; x < n; ++x) {
+    double acc = 0.0;
+    for (std::size_t k = 0; k < taps; ++k) acc += w[k] * src[k][x];
+    out[x] = acc;
+  }
 }
 
 /// One nonzero kernel tap: offsets relative to the anchored output pixel.
@@ -89,11 +138,10 @@ double sampled_pixel(const GridD& image, std::ptrdiff_t x, std::ptrdiff_t y,
 /// Shared correlation core, SIMD interior. `flip` selects true convolution
 /// (kernel mirrored in both axes) as an index view — no flipped copy is
 /// materialized. Row-parallel: every output row is written by exactly one
-/// chunk. Interior pixels (full window in bounds, via kernel_interior_span —
-/// the one boundary-handling helper every path shares) run stride-1 over x,
-/// VecD::kLanes outputs at a time, accumulating the unrolled taps in the
-/// reference scan order; the scalar tail and the border columns/rows use the
-/// same tap sequence, so every output pixel accumulates in exactly the
+/// chunk. Interior pixels (full window in bounds, via kernel_interior_span)
+/// run through weighted_sum with one source pointer per tap, in the
+/// reference scan order; the border columns/rows use the same tap sequence
+/// through the sampler, so every output pixel accumulates in exactly the
 /// reference order and the result is bit-identical to correlate_reference on
 /// all paths.
 GridD correlate_simd(const GridD& image, const Kernel2D& kernel,
@@ -107,6 +155,9 @@ GridD correlate_simd(const GridD& image, const Kernel2D& kernel,
   const auto width = static_cast<std::ptrdiff_t>(image.width());
   const auto height = static_cast<std::ptrdiff_t>(image.height());
   const std::vector<Tap> taps = collect_taps(kernel, flip, ax, ay);
+  std::vector<double> weights;
+  weights.reserve(taps.size());
+  for (const Tap& t : taps) weights.push_back(t.w);
 
   const auto [xlo, xhi] = kernel_interior_span(width, ax, kw);
   const auto [ylo, yhi] = kernel_interior_span(height, ay, kh);
@@ -114,9 +165,9 @@ GridD correlate_simd(const GridD& image, const Kernel2D& kernel,
   GridD out(image.width(), image.height());
   const double* src = image.raw().data();
   double* dst = out.raw().data();
-  constexpr auto kLanes = static_cast<std::ptrdiff_t>(simd::VecD::kLanes);
 
   parallel_for_rows(image.height(), [&](std::size_t y0, std::size_t y1) {
+    std::vector<const double*> rows(taps.size());
     for (std::size_t yu = y0; yu < y1; ++yu) {
       const auto y = static_cast<std::ptrdiff_t>(yu);
       double* out_row = dst + y * width;
@@ -127,21 +178,13 @@ GridD correlate_simd(const GridD& image, const Kernel2D& kernel,
       }
       for (std::ptrdiff_t x = 0; x < xlo; ++x)
         out_row[x] = sampled_pixel(image, x, y, taps, border);
-      std::ptrdiff_t x = xlo;
-      for (; x + kLanes <= xhi; x += kLanes) {
-        simd::VecD acc = simd::VecD::zero();
-        for (const Tap& t : taps)
-          acc += simd::VecD::broadcast(t.w) *
-                 simd::VecD::load(src + (y + t.dy) * width + x + t.dx);
-        acc.store(out_row + x);
+      if (xhi > xlo) {  // else a tap's row view could point past the image
+        for (std::size_t k = 0; k < taps.size(); ++k)
+          rows[k] = src + (y + taps[k].dy) * width + xlo + taps[k].dx;
+        weighted_sum(rows.data(), weights.data(), taps.size(), out_row + xlo,
+                     xhi - xlo);
       }
-      for (; x < xhi; ++x) {
-        double acc = 0.0;
-        for (const Tap& t : taps)
-          acc += t.w * src[(y + t.dy) * width + x + t.dx];
-        out_row[x] = acc;
-      }
-      for (x = xhi; x < width; ++x)
+      for (std::ptrdiff_t x = xhi; x < width; ++x)
         out_row[x] = sampled_pixel(image, x, y, taps, border);
     }
   });
@@ -229,88 +272,57 @@ GridD correlate_separable(const GridD& image, const std::vector<double>& taps_x,
   QVG_EXPECTS(!image.empty());
   QVG_EXPECTS(!taps_x.empty() && !taps_y.empty());
   const auto nx = static_cast<std::ptrdiff_t>(taps_x.size());
-  const auto ny = static_cast<std::ptrdiff_t>(taps_y.size());
   const std::ptrdiff_t rx = nx / 2;
-  const std::ptrdiff_t ry = ny / 2;
+  const std::ptrdiff_t ry = static_cast<std::ptrdiff_t>(taps_y.size()) / 2;
   const auto width = static_cast<std::ptrdiff_t>(image.width());
   const auto height = static_cast<std::ptrdiff_t>(image.height());
-  const auto [xlo, xhi] = kernel_interior_span(width, rx, nx);
-  const auto [ylo, yhi] = kernel_interior_span(height, ry, ny);
-  constexpr auto kLanes = static_cast<std::ptrdiff_t>(simd::VecD::kLanes);
 
-  // Horizontal pass: every row is y-interior; interior x runs stride-1,
-  // kLanes outputs per step, taps accumulated in ascending order (identical
-  // to the reference's per-pixel loop).
+  // Horizontal pass: each row is copied into a buffer padded by the border
+  // rule (padding pixel i holds sample(i - rx, y)), so every output pixel,
+  // border columns included, is the same weighted_sum over shifted views of
+  // one buffer and adds the reference's sampled values in tap order.
   GridD tmp(image.width(), image.height());
   {
     const double* src = image.raw().data();
     double* dst = tmp.raw().data();
     parallel_for_rows(image.height(), [&](std::size_t y0, std::size_t y1) {
+      std::vector<double> padded(static_cast<std::size_t>(width + nx - 1));
+      std::vector<const double*> views(taps_x.size());
+      for (std::size_t k = 0; k < views.size(); ++k) views[k] = padded.data() + k;
       for (std::size_t yu = y0; yu < y1; ++yu) {
         const auto y = static_cast<std::ptrdiff_t>(yu);
-        const double* src_row = src + y * width;
-        double* out_row = dst + y * width;
-        auto border_pixel = [&](std::ptrdiff_t x) {
-          double acc = 0.0;
-          for (std::ptrdiff_t k = 0; k < nx; ++k)
-            acc += taps_x[static_cast<std::size_t>(k)] *
-                   sample(image, x + k - rx, y, border);
-          return acc;
-        };
-        for (std::ptrdiff_t x = 0; x < xlo; ++x) out_row[x] = border_pixel(x);
-        std::ptrdiff_t x = xlo;
-        for (; x + kLanes <= xhi; x += kLanes) {
-          simd::VecD acc = simd::VecD::zero();
-          for (std::ptrdiff_t k = 0; k < nx; ++k)
-            acc += simd::VecD::broadcast(taps_x[static_cast<std::size_t>(k)]) *
-                   simd::VecD::load(src_row + x + k - rx);
-          acc.store(out_row + x);
-        }
-        for (; x < xhi; ++x) {
-          double acc = 0.0;
-          for (std::ptrdiff_t k = 0; k < nx; ++k)
-            acc += taps_x[static_cast<std::size_t>(k)] * src_row[x + k - rx];
-          out_row[x] = acc;
-        }
-        for (x = xhi; x < width; ++x) out_row[x] = border_pixel(x);
+        double* p = padded.data();
+        for (std::ptrdiff_t i = 0; i < rx; ++i)
+          p[i] = sample(image, i - rx, y, border);
+        std::memcpy(p + rx, src + y * width, image.width() * sizeof(double));
+        for (std::ptrdiff_t i = rx + width; i < width + nx - 1; ++i)
+          p[i] = sample(image, i - rx, y, border);
+        weighted_sum(views.data(), taps_x.data(), taps_x.size(),
+                     dst + y * width, width);
       }
     });
   }
 
-  // Vertical pass: interior rows vectorize across the whole width (loads are
-  // contiguous within each tap row); border rows go through the sampler.
+  // Vertical pass: tap k of output row y reads the whole row the border
+  // rule maps y + k - ry to (a row of zeros for kZero), so border rows run
+  // the same vectorized weighted_sum as interior rows.
   GridD out(image.width(), image.height());
   {
     const double* src = tmp.raw().data();
     double* dst = out.raw().data();
+    const std::vector<double> zeros(
+        border == BorderMode::kZero ? image.width() : 0, 0.0);
     parallel_for_rows(image.height(), [&](std::size_t y0, std::size_t y1) {
+      std::vector<const double*> rows(taps_y.size());
       for (std::size_t yu = y0; yu < y1; ++yu) {
         const auto y = static_cast<std::ptrdiff_t>(yu);
-        double* out_row = dst + y * width;
-        if (y < ylo || y >= yhi) {
-          for (std::ptrdiff_t x = 0; x < width; ++x) {
-            double acc = 0.0;
-            for (std::ptrdiff_t k = 0; k < ny; ++k)
-              acc += taps_y[static_cast<std::size_t>(k)] *
-                     sample(tmp, x, y + k - ry, border);
-            out_row[x] = acc;
-          }
-          continue;
+        for (std::size_t k = 0; k < rows.size(); ++k) {
+          const std::ptrdiff_t sy = border_index(
+              y + static_cast<std::ptrdiff_t>(k) - ry, height, border);
+          rows[k] = sy < 0 ? zeros.data() : src + sy * width;
         }
-        std::ptrdiff_t x = 0;
-        for (; x + kLanes <= width; x += kLanes) {
-          simd::VecD acc = simd::VecD::zero();
-          for (std::ptrdiff_t k = 0; k < ny; ++k)
-            acc += simd::VecD::broadcast(taps_y[static_cast<std::size_t>(k)]) *
-                   simd::VecD::load(src + (y + k - ry) * width + x);
-          acc.store(out_row + x);
-        }
-        for (; x < width; ++x) {
-          double acc = 0.0;
-          for (std::ptrdiff_t k = 0; k < ny; ++k)
-            acc += taps_y[static_cast<std::size_t>(k)] * src[(y + k - ry) * width + x];
-          out_row[x] = acc;
-        }
+        weighted_sum(rows.data(), taps_y.data(), taps_y.size(),
+                     dst + y * width, width);
       }
     });
   }

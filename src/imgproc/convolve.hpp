@@ -1,13 +1,19 @@
 // 2-D cross-correlation / convolution over Grid2D images.
 //
-// The production entry points run a SIMD interior (stride-1 over x,
-// simd::VecD::kLanes outputs at a time, unrolled kernel taps) with explicit
-// scalar tails and sampler-based border handling; the *_reference variants
-// keep the pre-SIMD scalar implementation as the equivalence ablation.
-// Both share the per-output-pixel accumulation order, so fast and reference
-// results are bit-identical on every path — pinned by the kernel geometry
-// tests (prime sizes, non-square, sub-kernel images, non-lane-multiple
-// widths, 1xN/Nx1 grids).
+// Every production path runs its pixels through one SIMD row kernel: an
+// output pixel is sum_k w[k] * src_k[x] over one source pointer per tap,
+// accumulated from 0.0 in tap order, four VecD accumulators (4 *
+// simd::VecD::kLanes pixels) per step so the taps' add latencies overlap
+// in registers, then one vector at a time and a scalar tail. correlate /
+// convolve feed it the interior (kernel_interior_span) and take the border
+// through the sampler; correlate_separable pads each row by the border rule
+// and maps each vertical tap to a whole source row, so border pixels use
+// the vector kernel too. The
+// *_reference variants keep the pre-SIMD scalar implementation as the
+// equivalence ablation. Both share the per-output-pixel accumulation order,
+// so fast and reference results are bit-identical on every path — pinned by
+// the kernel geometry tests (prime sizes, non-square, sub-kernel images,
+// non-lane-multiple widths, 1xN/Nx1 grids).
 #pragma once
 
 #include "grid/grid2d.hpp"
@@ -25,10 +31,8 @@ enum class BorderMode {
 };
 
 /// Half-open index range [lo, hi) along one axis where the full kernel
-/// window is in bounds. The ONE boundary-handling helper every convolution
-/// path (scalar fast path, SIMD interior, tiled loops) derives its
-/// interior/border split from; empty (lo == hi) when the kernel is larger
-/// than the image.
+/// window is in bounds: the interior/border split of correlate / convolve;
+/// empty (lo == hi) when the kernel is larger than the image.
 struct InteriorSpan {
   std::ptrdiff_t lo = 0;
   std::ptrdiff_t hi = 0;

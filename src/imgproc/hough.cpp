@@ -1,6 +1,7 @@
 #include "imgproc/hough.hpp"
 
 #include "common/assert.hpp"
+#include "common/rounding.hpp"
 #include "common/simd.hpp"
 #include "common/thread_pool.hpp"
 
@@ -70,7 +71,7 @@ HoughAccumulator hough_accumulate(const GridU8& edges, const HoughOptions& opt) 
         for (std::size_t t = t0; t < t1; ++t) {
           const double rho = fx * cos_t[t] + fy * sin_t[t];
           const auto bin = static_cast<std::ptrdiff_t>(
-              std::round((rho - acc.rho_min) / acc.rho_step));
+              round_half_away((rho - acc.rho_min) / acc.rho_step));
           if (bin < 0 || static_cast<std::size_t>(bin) >= n_rho) continue;
           ++acc.votes(t, static_cast<std::size_t>(bin));
         }
@@ -86,7 +87,8 @@ HoughAccumulator hough_accumulate(const GridU8& edges, const HoughOptions& opt) 
   // points before moving on keeps that slab (x the chunk's theta columns)
   // resident in L1/L2 instead of re-streaming the full rho range per point.
   // The inner theta sweep is SIMD over VecD lanes with the identical
-  // per-theta expression (fx*cos + fy*sin, then scalar round per lane).
+  // per-theta expression ((fx*cos + fy*sin - rho_min) / rho_step, then the
+  // inline round_half_away per lane, which matches std::round exactly).
   constexpr std::size_t kTile = 64;
   const std::size_t tiles_x = (edges.width() + kTile - 1) / kTile;
   const std::size_t tiles_y = (edges.height() + kTile - 1) / kTile;
@@ -100,6 +102,8 @@ HoughAccumulator hough_accumulate(const GridU8& edges, const HoughOptions& opt) 
   constexpr std::size_t kLanes = simd::VecD::kLanes;
   const double rho_min = acc.rho_min;
   const double rho_step = acc.rho_step;
+  const simd::VecD v_rho_min = simd::VecD::broadcast(rho_min);
+  const simd::VecD v_rho_step = simd::VecD::broadcast(rho_step);
   int* votes = acc.votes.raw().data();
   parallel_for_rows(n_theta, [&](std::size_t t0, std::size_t t1) {
     for (const auto& tile : tiles) {
@@ -108,11 +112,12 @@ HoughAccumulator hough_accumulate(const GridU8& edges, const HoughOptions& opt) 
         const simd::VecD vy = simd::VecD::broadcast(fy);
         std::size_t t = t0;
         for (; t + kLanes <= t1; t += kLanes) {
-          const simd::VecD rho = vx * simd::VecD::load(cos_t.data() + t) +
-                                 vy * simd::VecD::load(sin_t.data() + t);
+          const simd::VecD q = (vx * simd::VecD::load(cos_t.data() + t) +
+                                vy * simd::VecD::load(sin_t.data() + t) -
+                                v_rho_min) /
+                               v_rho_step;
           for (std::size_t l = 0; l < kLanes; ++l) {
-            const auto bin = static_cast<std::ptrdiff_t>(
-                std::round((rho[l] - rho_min) / rho_step));
+            const auto bin = static_cast<std::ptrdiff_t>(round_half_away(q[l]));
             if (bin < 0 || static_cast<std::size_t>(bin) >= n_rho) continue;
             ++votes[static_cast<std::size_t>(bin) * n_theta + (t + l)];
           }
@@ -120,7 +125,7 @@ HoughAccumulator hough_accumulate(const GridU8& edges, const HoughOptions& opt) 
         for (; t < t1; ++t) {
           const double rho = fx * cos_t[t] + fy * sin_t[t];
           const auto bin = static_cast<std::ptrdiff_t>(
-              std::round((rho - rho_min) / rho_step));
+              round_half_away((rho - rho_min) / rho_step));
           if (bin < 0 || static_cast<std::size_t>(bin) >= n_rho) continue;
           ++votes[static_cast<std::size_t>(bin) * n_theta + t];
         }
@@ -134,11 +139,26 @@ std::vector<HoughLine> hough_peaks(const HoughAccumulator& acc,
                                    const HoughOptions& opt) {
   const auto n_theta = acc.votes.width();
   const auto n_rho = acc.votes.height();
+  // Locals, not acc.votes(t, r) / opt fields: the scan below pushes to a
+  // vector, and through memory the compiler would reload them per cell.
+  const int* votes = acc.votes.raw().data();
+  const int rho_radius = opt.nms_rho_radius;
+  const int theta_radius = opt.nms_theta_radius;
 
+  // Row maxima in one vectorizable pass: they give the adaptive threshold
+  // and let the scan skip every row with no cell at or above it (almost all
+  // of them: the accumulator is mostly empty).
+  std::vector<int> row_max(n_rho, 0);
+  for (std::size_t r = 0; r < n_rho; ++r) {
+    const int* row = votes + r * n_theta;
+    int m = row[0];
+    for (std::size_t t = 1; t < n_theta; ++t) m = row[t] > m ? row[t] : m;
+    row_max[r] = m;
+  }
   int threshold = opt.votes_threshold;
   if (threshold <= 0) {
-    int max_votes = 0;
-    for (int v : acc.votes.raw()) max_votes = std::max(max_votes, v);
+    const int max_votes =
+        std::max(0, *std::max_element(row_max.begin(), row_max.end()));
     threshold = std::max(
         2, static_cast<int>(opt.adaptive_threshold_fraction * max_votes));
   }
@@ -150,23 +170,25 @@ std::vector<HoughLine> hough_peaks(const HoughAccumulator& acc,
   };
   std::vector<Peak> peaks;
   for (std::size_t r = 0; r < n_rho; ++r) {
+    if (row_max[r] < threshold) continue;
+    const int* row = votes + r * n_theta;
     for (std::size_t t = 0; t < n_theta; ++t) {
-      const int v = acc.votes(t, r);
+      const int v = row[t];
       if (v < threshold) continue;
       // Local-maximum test in the NMS window (theta wraps around pi with a
       // rho sign flip; we ignore the wrap here — transition lines sit far
       // from theta = 0/pi after edge detection on negatively sloped lines).
       bool is_max = true;
-      for (int dr = -opt.nms_rho_radius; dr <= opt.nms_rho_radius && is_max; ++dr) {
-        for (int dt = -opt.nms_theta_radius; dt <= opt.nms_theta_radius; ++dt) {
+      for (int dr = -rho_radius; dr <= rho_radius && is_max; ++dr) {
+        for (int dt = -theta_radius; dt <= theta_radius; ++dt) {
           if (dr == 0 && dt == 0) continue;
           const auto nr = static_cast<std::ptrdiff_t>(r) + dr;
           const auto nt = static_cast<std::ptrdiff_t>(t) + dt;
           if (nr < 0 || nt < 0 || static_cast<std::size_t>(nr) >= n_rho ||
               static_cast<std::size_t>(nt) >= n_theta)
             continue;
-          const int nv = acc.votes(static_cast<std::size_t>(nt),
-                                   static_cast<std::size_t>(nr));
+          const int nv = votes[static_cast<std::size_t>(nr) * n_theta +
+                               static_cast<std::size_t>(nt)];
           if (nv > v || (nv == v && (dr < 0 || (dr == 0 && dt < 0)))) {
             is_max = false;
             break;

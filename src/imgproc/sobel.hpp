@@ -1,7 +1,11 @@
 // Sobel gradients: magnitude and direction fields used by Canny.
 //
-// The production magnitude is sqrt(gx^2 + gy^2) evaluated lane-parallel
-// (simd::VecD with an identical scalar tail); sobel_gradients_reference
+// sobel_gradients is one fused, row-parallel pass over the replicate-border
+// image: per pixel it adds the six nonzero taps of each 3x3 kernel in
+// collect_taps order (so gx / gy are bit-identical to correlate() with
+// sobel_x_kernel / sobel_y_kernel) and evaluates the magnitude
+// sqrt(gx^2 + gy^2) in the same registers, VecD lanes at a time with a
+// scalar border. sobel_gradients_reference
 // keeps the original std::hypot form as the exact-path ablation. The two
 // agree to a small ULP bound (hypot is correctly rounded; the sqrt form
 // rounds the two squarings and the sum first) — the bound is pinned by the
@@ -20,6 +24,7 @@ struct GradientField {
   GridD magnitude;  // sqrt(gx^2 + gy^2)
 };
 
+/// One fused, row-parallel pass: gx, gy and the magnitude of every pixel.
 [[nodiscard]] GradientField sobel_gradients(const GridD& image);
 
 /// Exact-path ablation: std::hypot magnitude (pre-SIMD behaviour). gx/gy are

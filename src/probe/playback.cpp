@@ -9,23 +9,25 @@ CsdPlayback::CsdPlayback(const Csd& csd, double dwell_seconds)
   QVG_EXPECTS(csd.width() > 0 && csd.height() > 0);
 }
 
-double CsdPlayback::probe_one(double v1, double v2) {
-  ++probes_;
-  clock_.charge_probe();
+double CsdPlayback::lookup(double v1, double v2) const {
   const std::size_t x = csd_.x_axis().nearest_index(v1);
   const std::size_t y = csd_.y_axis().nearest_index(v2);
   return csd_.current(x, y);
 }
 
 double CsdPlayback::get_current(double v1, double v2) {
-  return probe_one(v1, v2);
+  ++probes_;
+  clock_.charge_probe();
+  return lookup(v1, v2);
 }
 
 void CsdPlayback::get_currents(std::span<const Point2> points,
                                std::span<double> out) {
   QVG_EXPECTS(points.size() == out.size());
   for (std::size_t i = 0; i < points.size(); ++i)
-    out[i] = probe_one(points[i].x, points[i].y);
+    out[i] = lookup(points[i].x, points[i].y);
+  probes_ += static_cast<long>(points.size());
+  clock_.charge_probes(points.size());
 }
 
 }  // namespace qvg

@@ -23,7 +23,7 @@ class CsdPlayback final : public CurrentSource {
   double get_current(double v1, double v2) override;
 
   /// Batched lookup with the same border clamp, bit-identical to the scalar
-  /// loop (probes and dwell are charged per point, in order).
+  /// loop (one probe and one dwell per point, summed in order).
   void get_currents(std::span<const Point2> points,
                     std::span<double> out) override;
 
@@ -34,9 +34,8 @@ class CsdPlayback final : public CurrentSource {
   [[nodiscard]] const Csd& csd() const noexcept { return csd_; }
 
  private:
-  /// The one probe implementation both entry points share (keeps batched
-  /// and scalar accounting identical by construction).
-  double probe_one(double v1, double v2);
+  /// The stored current nearest to (v1, v2); both entry points share it.
+  [[nodiscard]] double lookup(double v1, double v2) const;
 
   const Csd& csd_;
   SimClock clock_;

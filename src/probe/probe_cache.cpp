@@ -1,9 +1,9 @@
 #include "probe/probe_cache.hpp"
 
 #include "common/assert.hpp"
+#include "common/rounding.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace qvg {
 
@@ -20,11 +20,11 @@ void ProbeCache::reserve(std::size_t expected_unique_probes) {
 }
 
 std::uint64_t ProbeCache::quantize(double v) const {
-  // Quantize with llround (symmetric around zero — truncation would fold
-  // (-0.5g, 0.5g) onto the same key and alias negative-voltage probes),
-  // clamp into the 32 bits this half owns in the mixed key, and offset so
-  // both halves are non-negative. The clamp happens in double space, before
-  // llround, so extreme voltage/granularity ratios (beyond ±2^31 quanta, or
+  // Quantize with llround's rule via the inline round_half_away (symmetric
+  // around zero — truncation would fold (-0.5g, 0.5g) onto the same key and
+  // alias negative-voltage probes), clamp into the 32 bits this half owns in
+  // the mixed key, and offset so both halves are non-negative. The clamp
+  // happens in double space, before rounding, so extreme voltage/granularity ratios (beyond ±2^31 quanta, or
   // non-finite inputs) saturate at the window edge instead of overflowing
   // one half into the other: distinct probes past the edge may share the
   // boundary key, but they can never alias an unrelated in-window
@@ -33,7 +33,7 @@ std::uint64_t ProbeCache::quantize(double v) const {
   double q = v / granularity_;
   if (!(q > -kHalfRange)) q = -kHalfRange;  // also catches NaN
   if (q > kHalfRange - 1.0) q = kHalfRange - 1.0;
-  return static_cast<std::uint64_t>(std::llround(q) + (1LL << 31));
+  return static_cast<std::uint64_t>(round_half_away(q) + (1LL << 31));
 }
 
 std::uint64_t ProbeCache::key_of(double v1, double v2) const {

@@ -138,10 +138,48 @@ TEST(SimdVec, SetAndIndexAgree) {
     EXPECT_EQ(v[i], static_cast<double>(i) + 0.5);
 }
 
+TEST(SimdVec, SetGetAndLoadStoreAcrossChunkBoundaries) {
+  // Lanes are stored as register-width chunks (two per VecD on SSE2, one
+  // under AVX; one scalar each in the fallback): every lane, on both sides
+  // of each chunk boundary, must read, write, load and store in place.
+  static_assert(VecD::kChunks * VecD::kChunkLanes == VecD::kLanes);
+  static_assert(VecF::kChunks * VecF::kChunkLanes == VecF::kLanes);
+  double d[VecD::kLanes + 2];
+  for (std::size_t i = 0; i < VecD::kLanes + 2; ++i) d[i] = 10.0 + i;
+  const VecD vd = VecD::load(d + 1);  // unaligned on purpose
+  VecD sd = VecD::zero();
+  for (std::size_t i = 0; i < VecD::kLanes; ++i) {
+    EXPECT_EQ(vd[i], d[i + 1]) << i;
+    sd.set(i, -1.0 - static_cast<double>(i));
+  }
+  double dout[VecD::kLanes + 2] = {};
+  sd.store(dout + 1);
+  EXPECT_EQ(dout[0], 0.0);
+  EXPECT_EQ(dout[VecD::kLanes + 1], 0.0);
+  for (std::size_t i = 0; i < VecD::kLanes; ++i)
+    EXPECT_EQ(dout[i + 1], -1.0 - static_cast<double>(i)) << i;
+
+  float f[VecF::kLanes + 2];
+  for (std::size_t i = 0; i < VecF::kLanes + 2; ++i) f[i] = 0.5f + i;
+  const VecF vf = VecF::load(f + 1);
+  VecF sf = VecF::zero();
+  for (std::size_t i = 0; i < VecF::kLanes; ++i) {
+    EXPECT_EQ(vf[i], f[i + 1]) << i;
+    sf.set(i, vf[VecF::kLanes - 1 - i]);  // reverse: crosses every chunk
+  }
+  float fout[VecF::kLanes + 2] = {};
+  sf.store(fout + 1);
+  EXPECT_EQ(fout[0], 0.0f);
+  EXPECT_EQ(fout[VecF::kLanes + 1], 0.0f);
+  for (std::size_t i = 0; i < VecF::kLanes; ++i)
+    EXPECT_EQ(fout[i + 1], f[VecF::kLanes - i]) << i;
+}
+
 TEST(SimdVec, LaneCountsAreFixed) {
   static_assert(VecD::kLanes == kDoubleLanes);
   static_assert(VecF::kLanes == kFloatLanes);
   static_assert(sizeof(VecD) == kDoubleLanes * sizeof(double));
+  static_assert(sizeof(VecD) == 4 * sizeof(double));  // layout is API
   static_assert(sizeof(VecF) == kFloatLanes * sizeof(float));
   SUCCEED();
 }

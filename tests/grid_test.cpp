@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace qvg {
 namespace {
 
@@ -29,6 +31,28 @@ TEST(VoltageAxisTest, NearestIndexClamps) {
   EXPECT_EQ(axis.nearest_index(5.0), 10u);
   EXPECT_EQ(axis.nearest_index(0.034), 3u);
   EXPECT_EQ(axis.nearest_index(0.036), 4u);
+}
+
+TEST(VoltageAxisTest, NearestIndexClampsAtBothEndsExactly) {
+  const VoltageAxis axis(-1.0, 0.5, 9);  // pixels at -1.0, -0.5, ..., 3.0
+  // Below the first pixel, including far below and -inf.
+  EXPECT_EQ(axis.nearest_index(-1.0), 0u);
+  EXPECT_EQ(axis.nearest_index(-1.2), 0u);
+  EXPECT_EQ(axis.nearest_index(-1e300), 0u);
+  EXPECT_EQ(axis.nearest_index(-HUGE_VAL), 0u);
+  // Ties round away from zero: index 0.5 -> 1, index 7.5 -> 8.
+  EXPECT_EQ(axis.nearest_index(-0.75), 1u);
+  EXPECT_EQ(axis.nearest_index(2.75), 8u);
+  EXPECT_EQ(axis.nearest_index(std::nextafter(2.75, 0.0)), 7u);
+  // At and past the last pixel, including far past, +inf and NaN.
+  EXPECT_EQ(axis.nearest_index(3.0), 8u);
+  EXPECT_EQ(axis.nearest_index(3.2), 8u);
+  EXPECT_EQ(axis.nearest_index(1e300), 8u);
+  EXPECT_EQ(axis.nearest_index(HUGE_VAL), 8u);
+  EXPECT_EQ(axis.nearest_index(std::nan("")), 8u);
+  // A one-pixel axis maps everything to 0.
+  const VoltageAxis single(0.0, 1.0, 1);
+  for (double v : {-5.0, 0.0, 0.4, 7.0}) EXPECT_EQ(single.nearest_index(v), 0u);
 }
 
 TEST(VoltageAxisTest, InRange) {

@@ -12,16 +12,19 @@
 #include "common/thread_pool.hpp"
 #include "imgproc/canny.hpp"
 #include "imgproc/convolve.hpp"
+#include "imgproc/filters.hpp"
 #include "imgproc/hough.hpp"
 #include "imgproc/kernel.hpp"
 #include "imgproc/sobel.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <numbers>
+#include <utility>
 #include <vector>
 
 namespace qvg {
@@ -297,6 +300,78 @@ TEST(CannyEquivalenceTest, PipelineMatchesReferenceOnSyntheticScenes) {
   for (std::size_t n : {64u, 97u}) {
     const GridD scene = synthetic_scene(n, 5000 + n);
     EXPECT_EQ(canny(scene), canny_reference(scene)) << n;
+  }
+}
+
+/// The detector's back half in its original form, as the oracle for the
+/// class-map NMS: a `thinned` magnitude image (0 where suppressed), clamped
+/// neighbour reads everywhere, then a flood from every pixel >= high through
+/// pixels >= low.
+GridU8 canny_thinned_oracle(const GridD& image, double low, double high) {
+  constexpr int kNeighbors[4][2][2] = {{{1, 0}, {-1, 0}},
+                                       {{1, 1}, {-1, -1}},
+                                       {{0, 1}, {0, -1}},
+                                       {{-1, 1}, {1, -1}}};
+  const GradientField grad = sobel_gradients(gaussian_blur(image, 1.4));
+  const std::size_t w = image.width();
+  const std::size_t h = image.height();
+  GridD thinned(w, h, 0.0);
+  for (std::size_t y = 0; y < h; ++y)
+    for (std::size_t x = 0; x < w; ++x) {
+      const double m = grad.magnitude(x, y);
+      if (m < low) continue;
+      const auto& n = kNeighbors[canny_sector(grad.gx(x, y), grad.gy(x, y))];
+      const auto px = static_cast<std::ptrdiff_t>(x);
+      const auto py = static_cast<std::ptrdiff_t>(y);
+      if (m >= grad.magnitude.clamped(px + n[0][0], py + n[0][1]) &&
+          m >= grad.magnitude.clamped(px + n[1][0], py + n[1][1]))
+        thinned(x, y) = m;
+    }
+  GridU8 edges(w, h, 0);
+  std::vector<std::pair<std::ptrdiff_t, std::ptrdiff_t>> stack;
+  for (std::size_t y = 0; y < h; ++y)
+    for (std::size_t x = 0; x < w; ++x)
+      if (thinned(x, y) >= high) {
+        edges(x, y) = 1;
+        stack.emplace_back(x, y);
+      }
+  while (!stack.empty()) {
+    const auto [cx, cy] = stack.back();
+    stack.pop_back();
+    for (std::ptrdiff_t dy = -1; dy <= 1; ++dy)
+      for (std::ptrdiff_t dx = -1; dx <= 1; ++dx) {
+        if (!edges.in_bounds(cx + dx, cy + dy)) continue;
+        const auto ux = static_cast<std::size_t>(cx + dx);
+        const auto uy = static_cast<std::size_t>(cy + dy);
+        if (edges(ux, uy) == 0 && thinned(ux, uy) >= low) {
+          edges(ux, uy) = 1;
+          stack.emplace_back(cx + dx, cy + dy);
+        }
+      }
+  }
+  return edges;
+}
+
+TEST(CannyEquivalenceTest, ClassMapMatchesTheThinnedImageFormulation) {
+  // Absolute thresholds, including a zero low threshold (every suppressed
+  // pixel then counts as weak) and a zero high threshold (every pixel is
+  // strong), on scenes with lines and on pure noise.
+  const std::pair<double, double> thresholds[] = {
+      {0.25, 0.45}, {0.05, 0.3}, {0.0, 0.4}, {0.0, 0.0}, {0.6, 0.6}};
+  std::uint64_t seed = 40;
+  for (const Shape& s : {Shape{97, 61}, Shape{64, 64}, Shape{7, 7},
+                         Shape{3, 5}}) {
+    const GridD scene = synthetic_scene(std::max(s.w, s.h), seed);
+    const GridD noise = random_image(s.w, s.h, seed++);
+    for (const auto& [low, high] : thresholds) {
+      CannyOptions opt;
+      opt.low_threshold = low;
+      opt.high_threshold = high;
+      EXPECT_EQ(canny(scene, opt), canny_thinned_oracle(scene, low, high))
+          << s.w << "x" << s.h << " " << low << "/" << high;
+      EXPECT_EQ(canny(noise, opt), canny_thinned_oracle(noise, low, high))
+          << s.w << "x" << s.h << " " << low << "/" << high;
+    }
   }
 }
 
