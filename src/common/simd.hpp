@@ -47,7 +47,7 @@ inline constexpr std::size_t kDoubleLanes = 4;
 inline constexpr std::size_t kFloatLanes = 8;
 
 /// True when the native vector-extension backend is compiled in (recorded in
-/// the bench metadata so snapshot numbers are attributable).
+/// perfbench's host line so its numbers are attributable).
 inline constexpr bool kNative = QVG_SIMD_NATIVE != 0;
 
 /// Bytes in the widest vector register the target has for doubles: 32 under

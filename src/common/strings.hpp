@@ -22,8 +22,8 @@ namespace qvg {
 [[nodiscard]] std::string trim(const std::string& s);
 
 /// Render a simple aligned text table. Every row must have the same number of
-/// columns as `header`. Used by the bench harnesses to print Table-1-style
-/// summaries.
+/// columns as `header`. Used by the examples/paper_* programs to print
+/// Table-1-style summaries.
 [[nodiscard]] std::string render_table(
     const std::vector<std::string>& header,
     const std::vector<std::vector<std::string>>& rows);

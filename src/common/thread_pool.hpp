@@ -33,9 +33,8 @@ class ThreadPool {
   /// including the caller, clamped to 1024) when set to a positive
   /// integer, otherwise hardware_concurrency - 1 (so pool size == core
   /// count). QVG_THREADS makes multi-core re-measurement a one-variable
-  /// experiment: QVG_THREADS=4 bench_json records threads=4 in every
-  /// scenario. Malformed or non-positive values fall back to hardware
-  /// sizing.
+  /// experiment: QVG_THREADS=4 runs any program on four threads. Malformed
+  /// or non-positive values fall back to hardware sizing.
   explicit ThreadPool(std::size_t thread_count = 0);
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;
@@ -84,8 +83,7 @@ class ThreadPool {
 };
 
 /// Process-wide kill switch: when disabled, every parallel_for runs serially
-/// on the calling thread. Used by the equivalence tests and the bench
-/// harness's serial-vs-parallel ablation.
+/// on the calling thread. Used by the serial-vs-parallel equivalence tests.
 void set_parallelism_enabled(bool enabled) noexcept;
 [[nodiscard]] bool parallelism_enabled() noexcept;
 

@@ -178,8 +178,7 @@ void active_dots(const CapacitanceModel& model,
     int max_electrons_per_dot);
 
 /// The pre-optimization copy-based ICM (fresh trial vector and full
-/// O(n^2) energy recompute per candidate). Kept as the equivalence oracle
-/// and the bench harness's before/after ablation.
+/// O(n^2) energy recompute per candidate). Kept as the equivalence oracle.
 [[nodiscard]] std::vector<int> ground_state_greedy_reference(
     const CapacitanceModel& model, const std::vector<double>& drives,
     int max_electrons_per_dot);

@@ -31,8 +31,8 @@ enum class RasterEvalMode {
   /// previous pixel in the row. The production path.
   kFast,
   /// The pre-optimization reference path: fresh voltage/drive vectors per
-  /// pixel and full O(n^2)-per-state energy recomputes. Kept for the
-  /// equivalence tests and the bench harness's before/after ablation.
+  /// pixel and full O(n^2)-per-state energy recomputes. Kept as the
+  /// equivalence tests' oracle.
   kNaive,
 };
 

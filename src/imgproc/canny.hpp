@@ -16,7 +16,7 @@
 // only directions within rounding distance of the 22.5-degree sector
 // boundaries, a measure-zero set the sweep proves empty for real Sobel
 // outputs, may differ), and edge maps are compared in the kernel
-// equivalence tests and the bench harness.
+// equivalence tests.
 #pragma once
 
 #include "grid/grid2d.hpp"

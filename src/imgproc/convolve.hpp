@@ -57,8 +57,8 @@ struct InteriorSpan {
                                         const std::vector<double>& taps_y,
                                         BorderMode border = BorderMode::kReplicate);
 
-/// Pre-SIMD scalar implementations, kept as the equivalence ablation and the
-/// bench harness's before/after reference. Bit-identical to the fast paths.
+/// Pre-SIMD scalar implementations, kept as the equivalence tests' oracles.
+/// Bit-identical to the fast paths.
 [[nodiscard]] GridD correlate_reference(const GridD& image, const Kernel2D& kernel,
                                         BorderMode border = BorderMode::kReplicate);
 [[nodiscard]] GridD convolve_reference(const GridD& image, const Kernel2D& kernel,

@@ -31,8 +31,8 @@ enum class HoughAccumulateMode {
   /// stays in L1/L2 instead of streaming the whole rho range per point.
   /// Integer votes are order-independent: counts are identical to kFlat.
   kBlocked,
-  /// The PR 1 theta-parallel point-major loop, kept as the ablation
-  /// reference (also the bench harness's before/after baseline).
+  /// The PR 1 theta-parallel point-major loop, kept as the equivalence
+  /// reference for kBlocked.
   kFlat,
 };
 

@@ -96,7 +96,7 @@ class ProbeCache final : public CurrentSource {
   [[nodiscard]] long cache_hits() const noexcept { return hits_; }
 
   /// Fraction of requests served from the cache (0 when nothing was
-  /// requested yet). Reported by the bench harness.
+  /// requested yet).
   [[nodiscard]] double cache_hit_rate() const noexcept {
     return requests_ == 0
                ? 0.0

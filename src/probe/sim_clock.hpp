@@ -1,7 +1,7 @@
 // Simulated experiment clock. The paper's runtime is dominated by the
-// per-probe dwell time (50 ms for charge-sensor devices, ref [30]); the
-// benches reproduce Table 1 runtimes by accounting dwell here and adding
-// measured algorithm compute time.
+// per-probe dwell time (50 ms for charge-sensor devices, ref [30]);
+// paper_table1 and perfbench reproduce Table 1 runtimes by accounting dwell
+// here and adding measured algorithm compute time.
 #pragma once
 
 #include <cstddef>

@@ -33,7 +33,7 @@ struct TransportOptions {
   /// thread additionally waits the transport out in wall-clock time
   /// (command latency overlapped across in-flight batches, transfers
   /// serialized on the link), polling cancellation every millisecond — the
-  /// mode the latency/cancellation benches measure.
+  /// mode the driver's cancellation tests run in.
   bool wall_clock = false;
 
   /// Whether this job runs through an InstrumentDriver at all.

@@ -1,6 +1,6 @@
 // Minimal blocking HTTP/1.1 client for the extraction wire API — the
-// counterpart of server/http.hpp, used by the loopback tests, the server
-// bench, and csd_tool's client mode. Loopback only (127.0.0.1),
+// counterpart of server/http.hpp, used by the loopback tests, perfbench's
+// served workload, and csd_tool's client mode. Loopback only (127.0.0.1),
 // dependency-free. http_call keeps the connection open after a response
 // and reuses it for the calling thread's next call to the same port.
 #pragma once

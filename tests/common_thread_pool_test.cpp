@@ -216,7 +216,8 @@ TEST(ThreadPoolTest, GlobalPoolHasAtLeastOneThread) {
 
 TEST(ThreadPoolTest, QvgThreadsEnvOverridesAutoSize) {
   // QVG_THREADS names the total thread count (workers + caller), so that
-  // `QVG_THREADS=4 bench_json` means four threads regardless of core count.
+  // `QVG_THREADS=4 ./build/paper_table1` means four threads regardless of
+  // core count.
   ASSERT_EQ(setenv("QVG_THREADS", "3", /*overwrite=*/1), 0);
   {
     ThreadPool pool(0);
