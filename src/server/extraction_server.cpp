@@ -123,7 +123,7 @@ struct ExtractionServer::Impl {
   }
 
   explicit Impl(ServerOptions opts)
-      : options(opts), jobs(opts.engine, effective_pool(opts, owned_pool)) {
+      : options(opts), jobs(effective_pool(opts, owned_pool)) {
     if (options.max_pending > 0) jobs.set_max_pending(options.max_pending);
   }
 

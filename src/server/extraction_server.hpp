@@ -48,8 +48,6 @@ namespace qvg::server {
 struct ServerOptions {
   /// TCP port on 127.0.0.1; 0 binds an ephemeral port (see port()).
   std::uint16_t port = 0;
-  /// Engine configuration for the embedded JobQueue.
-  EngineOptions engine;
   /// Worker pool override (nullptr = the global pool).
   ThreadPool* pool = nullptr;
   /// Queue-wide admission bound (JobQueue::set_max_pending); 0 = unlimited.

@@ -142,10 +142,7 @@ void run_method_with_faults(const ExtractionRequest& request,
 
 }  // namespace
 
-ExtractionEngine::ExtractionEngine(EngineOptions options)
-    : options_(options) {
-  retain_freed_job_memory();
-}
+ExtractionEngine::ExtractionEngine() { retain_freed_job_memory(); }
 
 ExtractionReport ExtractionEngine::run(const ExtractionRequest& request) const {
   return run(request, CancelToken{});
@@ -244,10 +241,7 @@ std::vector<ExtractionReport> ExtractionEngine::run_batch(
   auto serve = [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) reports[i] = run(requests[i]);
   };
-  if (options_.parallel_batch)
-    parallel_for_rows(requests.size(), serve, 1);
-  else
-    serve(0, requests.size());
+  parallel_for_rows(requests.size(), serve, 1);
   return reports;
 }
 

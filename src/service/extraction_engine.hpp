@@ -163,15 +163,9 @@ struct ExtractionReport {
   HoughBaselineResult hough;    // populated when method == kHoughBaseline
 };
 
-struct EngineOptions {
-  /// Fan run_batch() out over the global ThreadPool. Results are
-  /// bit-identical either way; disable to serialize (debugging, profiling).
-  bool parallel_batch = true;
-};
-
 class ExtractionEngine {
  public:
-  explicit ExtractionEngine(EngineOptions options = {});
+  ExtractionEngine();
 
   /// Serve one request synchronously (honouring its deadline and budget).
   [[nodiscard]] ExtractionReport run(const ExtractionRequest& request) const;
@@ -187,8 +181,9 @@ class ExtractionEngine {
                                      const CancelToken& cancel,
                                      const ProgressSink& progress = {}) const;
 
-  /// Serve a batch of requests — concurrently when options.parallel_batch —
-  /// returning reports in request order.
+  /// Serve a batch of requests concurrently over the global ThreadPool
+  /// (serially under set_parallelism_enabled(false)), returning reports in
+  /// request order.
   [[nodiscard]] std::vector<ExtractionReport> run_batch(
       std::span<const ExtractionRequest> requests) const;
 
@@ -199,13 +194,6 @@ class ExtractionEngine {
   [[nodiscard]] ArrayExtractionResult run_array(
       const BuiltDevice& device,
       const ArrayExtractionOptions& options = {}) const;
-
-  [[nodiscard]] const EngineOptions& options() const noexcept {
-    return options_;
-  }
-
- private:
-  EngineOptions options_;
 };
 
 }  // namespace qvg

@@ -191,9 +191,8 @@ struct JobQueue::Shared {
   }
 };
 
-JobQueue::JobQueue(EngineOptions engine_options, ThreadPool* pool)
-    : engine_(engine_options),
-      pool_(pool != nullptr ? pool : &ThreadPool::global()),
+JobQueue::JobQueue(ThreadPool* pool)
+    : pool_(pool != nullptr ? pool : &ThreadPool::global()),
       shared_(std::make_shared<Shared>()) {}
 
 JobQueue::~JobQueue() { wait_all(); }
@@ -290,7 +289,7 @@ JobHandle JobQueue::submit(ExtractionRequest request, SubmitOptions options) {
   // One generic drain task per submission: it pops the *best* pending job at
   // the moment a worker becomes free, so priorities take effect at dispatch
   // time, not submission time. The task owns copies of everything it touches
-  // (engine options and shared queue state; job state and request live in
+  // (the engine and shared queue state; job state and request live in
   // the pending list), so it is safe whether it runs inline now or on a
   // worker after submit() returned — even past this queue's lifetime end
   // (the destructor additionally drains all jobs).

@@ -183,7 +183,7 @@ struct TenantStats {
 
 /// Queue-wide + per-tenant counters, one consistent snapshot. Feeds load
 /// shedding decisions and the wire API's /stats endpoint; the dispatch
-/// counters are what the fairness bench measures against tenant weights.
+/// counters are what the fairness tests check against tenant weights.
 struct QueueStats {
   std::size_t submitted = 0;
   std::size_t completed = 0;
@@ -208,11 +208,9 @@ class JobQueue {
   /// 2 * kAgingDispatches times before it outranks fresh interactive work).
   static constexpr std::size_t kAgingDispatches = 4;
 
-  /// `engine_options` configure the embedded engine; `pool` overrides the
-  /// ThreadPool the jobs run on (nullptr = the global pool; the override
-  /// exists for benchmarking queue behaviour at a fixed worker count).
-  explicit JobQueue(EngineOptions engine_options = {},
-                    ThreadPool* pool = nullptr);
+  /// `pool` overrides the ThreadPool the jobs run on (nullptr = the global
+  /// pool; the override pins queue behaviour to a fixed worker count).
+  explicit JobQueue(ThreadPool* pool = nullptr);
   /// Blocks until every submitted job has finished (their tasks capture
   /// queue state).
   ~JobQueue();

@@ -91,7 +91,7 @@ TEST(FairnessTest, DeficitWeightedDispatchIsPinnedDeterministic) {
   //   -> b1 (1.5,2) -> a3 (2,2) -> a4 (2.5,2) -> b2 (2.5,3) -> a5 (3,3)
   const BuiltDevice device = test_device();
   ThreadPool pool(1);
-  JobQueue jobs(EngineOptions{}, &pool);
+  JobQueue jobs(&pool);
   jobs.configure_tenant("a", {.weight = 2.0});
   jobs.configure_tenant("b", {.weight = 1.0});
   WorkerGate gate(pool);
@@ -118,7 +118,7 @@ TEST(FairnessTest, PriorityAndAgingStillOrderWithinATenant) {
   // after exactly 8 of the 10 interactive jobs.
   const BuiltDevice device = test_device();
   ThreadPool pool(1);
-  JobQueue jobs(EngineOptions{}, &pool);
+  JobQueue jobs(&pool);
   WorkerGate gate(pool);
   DispatchOrder order;
 
@@ -145,7 +145,7 @@ TEST(FairnessTest, ReactivatedTenantCannotBankCredit) {
   // first on banked credit.
   const BuiltDevice device = test_device();
   ThreadPool pool(1);
-  JobQueue jobs(EngineOptions{}, &pool);
+  JobQueue jobs(&pool);
   jobs.configure_tenant("busy", {.weight = 1.0});
   jobs.configure_tenant("idle", {.weight = 1.0});
 
@@ -179,7 +179,7 @@ TEST(FairnessTest, ReactivatedTenantCannotBankCredit) {
 TEST(FairnessTest, QueueStatsTrackPerTenantCounters) {
   const BuiltDevice device = test_device();
   ThreadPool pool(1);
-  JobQueue jobs(EngineOptions{}, &pool);
+  JobQueue jobs(&pool);
   jobs.configure_tenant("a", {.weight = 2.0});
   jobs.configure_tenant("b", {.weight = 1.0, .max_pending = 1});
 
@@ -234,7 +234,7 @@ TEST(FairnessTest, QueueStatsTrackPerTenantCounters) {
 TEST(FairnessTest, QueueWideMaxPendingShedsAcrossTenants) {
   const BuiltDevice device = test_device();
   ThreadPool pool(1);
-  JobQueue jobs(EngineOptions{}, &pool);
+  JobQueue jobs(&pool);
   jobs.set_max_pending(2);
   WorkerGate gate(pool);
 
@@ -304,7 +304,7 @@ TEST(FairnessTest, DefaultTenantSchedulesExactlyAsBeforeTenants) {
   // priority/aging order (interactive, normal FIFO, batch).
   const BuiltDevice device = test_device();
   ThreadPool pool(1);
-  JobQueue jobs(EngineOptions{}, &pool);
+  JobQueue jobs(&pool);
   WorkerGate gate(pool);
   DispatchOrder order;
 

@@ -86,7 +86,7 @@ TEST(EngineFaultTest, AbsorbedTransientsLeaveTheExtractionResultClean) {
 TEST(EngineFaultTest, InactiveScheduleIsBitIdenticalToPlainRequest) {
   // A request that names a retry policy but no fault weather must not arm
   // anything: the report matches a default request bit for bit, FaultStats
-  // all zero (the PR-over-PR identity the zero-fault bench scenarios pin).
+  // all zero: an inactive schedule arms no fault plumbing.
   const Csd csd = make_synthetic_csd(SyntheticCsdSpec{.noise_sigma = 0.02});
   ExtractionEngine engine;
 
@@ -124,8 +124,8 @@ TEST(EngineFaultTest, IdenticalSeedIsBitIdenticalAcrossWorkerCounts) {
        {&playback_request, &device_request}) {
     ThreadPool narrow(1);
     ThreadPool wide(4);
-    JobQueue narrow_jobs({}, &narrow);
-    JobQueue wide_jobs({}, &wide);
+    JobQueue narrow_jobs(&narrow);
+    JobQueue wide_jobs(&wide);
     const ExtractionReport a = narrow_jobs.submit(*request).wait();
     const ExtractionReport b = wide_jobs.submit(*request).wait();
     ASSERT_TRUE(a.status.ok()) << a.status.detail();

@@ -273,7 +273,7 @@ TEST(JobQueueTest, CancelReturnValueIsAtomicWithCompletion) {
   // A job that cannot have started (its pool's only worker is gated):
   // cancel must report true and the job must end kCancelled.
   ThreadPool pool(1);
-  JobQueue gated_jobs(EngineOptions{}, &pool);
+  JobQueue gated_jobs(&pool);
   WorkerGate gate(pool);
   JobHandle pending =
       gated_jobs.submit(device_request(device, ExtractionMethod::kFast));
@@ -291,7 +291,7 @@ TEST(JobQueueTest, CancelRaceRegressionNeverMisreportsItsOwnCancellation) {
   // as kCancelled, read done=true] and return false.
   const BuiltDevice device = test_device();
   ThreadPool pool(2);
-  JobQueue jobs(EngineOptions{}, &pool);
+  JobQueue jobs(&pool);
   for (int round = 0; round < 24; ++round) {
     JobHandle handle =
         jobs.submit(device_request(device, ExtractionMethod::kFast));
@@ -311,7 +311,7 @@ TEST(JobQueueTest, CancelRaceRegressionNeverMisreportsItsOwnCancellation) {
 TEST(JobQueueTest, WaitAllDrainsConcurrentSubmitters) {
   const BuiltDevice device = test_device();
   ThreadPool pool(3);
-  JobQueue jobs(EngineOptions{}, &pool);
+  JobQueue jobs(&pool);
   constexpr int kThreads = 4;
   constexpr int kJobsPerThread = 3;
   std::mutex handles_mutex;
@@ -357,7 +357,7 @@ TEST(JobQueueTest, DestructorDrainsJobsFromConcurrentSubmitters) {
   ThreadPool pool(2);
   std::vector<JobHandle> handles;
   {
-    JobQueue jobs(EngineOptions{}, &pool);
+    JobQueue jobs(&pool);
     std::mutex handles_mutex;
     std::vector<std::thread> submitters;
     for (int t = 0; t < 3; ++t) {
@@ -387,7 +387,7 @@ TEST(JobQueueTest, PriorityOrdersDispatchUnderSaturation) {
   // FIFO within a class — not submission order.
   const BuiltDevice device = test_device();
   ThreadPool pool(1);
-  JobQueue jobs(EngineOptions{}, &pool);
+  JobQueue jobs(&pool);
   WorkerGate gate(pool);
   DispatchOrder order;
 
@@ -423,7 +423,7 @@ TEST(JobQueueTest, AgingPromotesBatchJobsPastFreshInteractiveWork) {
   // submitted first runs after exactly 2 * 4 = 8 bypasses.
   const BuiltDevice device = test_device();
   ThreadPool pool(1);
-  JobQueue jobs(EngineOptions{}, &pool);
+  JobQueue jobs(&pool);
   WorkerGate gate(pool);
   DispatchOrder order;
 
@@ -453,7 +453,7 @@ TEST(JobQueueTest, ProgressEventsStreamInPipelineOrder) {
   const BuiltDevice device = test_device();
   for (const std::size_t workers : {1u, 4u}) {
     ThreadPool pool(workers);
-    JobQueue jobs(EngineOptions{}, &pool);
+    JobQueue jobs(&pool);
 
     std::mutex events_mutex;
     std::vector<ProgressEvent> events;
