@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cctype>
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -209,6 +210,18 @@ struct HttpServer::Impl {
       ResponseWriter(fd).send(status, "text/plain", why);
       return false;
     };
+    // The idle deadline bounds each recv alone, so a client trickling one
+    // byte per read would hold this thread for up to kMaxHeaderBytes idle
+    // deadlines. The whole request must arrive within kRequestTimeoutSeconds
+    // of its first byte; the clock is read once per recv.
+    using Clock = std::chrono::steady_clock;
+    Clock::time_point first_byte{};  // epoch: no byte of this request yet
+    if (!buffer.empty()) first_byte = Clock::now();  // pipelined bytes
+    const auto overdue = [&first_byte] {
+      const Clock::time_point now = Clock::now();
+      if (first_byte == Clock::time_point{}) first_byte = now;
+      return now - first_byte > std::chrono::seconds(kRequestTimeoutSeconds);
+    };
     std::size_t header_end = buffer.find("\r\n\r\n");
     char chunk[4096];
     while (header_end == std::string::npos) {
@@ -218,6 +231,7 @@ struct HttpServer::Impl {
       // deadline passed, or the connection broke.
       const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
       if (n <= 0) return false;
+      if (overdue()) return reject(408, "request timeout\n");
       buffer.append(chunk, static_cast<std::size_t>(n));
       header_end = buffer.find("\r\n\r\n");
     }
@@ -287,6 +301,7 @@ struct HttpServer::Impl {
         const ssize_t n =
             ::recv(fd, buffer.data() + filled, request_end - filled, 0);
         if (n <= 0) return false;  // truncated body: client gone
+        if (overdue()) return reject(408, "request timeout\n");
         filled += static_cast<std::size_t>(n);
       }
     }

@@ -8,6 +8,9 @@
 //   * a connection idle for kIdleTimeoutSeconds (or a client that stalls
 //     that long mid-request) is closed; the thread serving it is joined at
 //     the next accept, so live threads track open connections;
+//   * a request still incomplete kRequestTimeoutSeconds after its first
+//     byte is answered 408 and closed, so a client trickling bytes cannot
+//     hold a connection thread indefinitely;
 //   * Content-Length request bodies (bounded; an oversize body is rejected
 //     with 413 before it is read); a request with Transfer-Encoding is
 //     answered 400 and closed;
@@ -111,6 +114,9 @@ class HttpServer {
   /// A connection with no request bytes arriving for this long is closed
   /// (a receive timeout on every connection socket).
   static constexpr int kIdleTimeoutSeconds = 5;
+  /// A request (headers and body) must arrive in full within this long of
+  /// its first byte, or it is answered 408 and the connection closed.
+  static constexpr int kRequestTimeoutSeconds = 10;
 
   explicit HttpServer(Handler handler);
   ~HttpServer();

@@ -6,7 +6,8 @@
 // server starts/stops cleanly with streams open (ASan watches the joins).
 // ServerKeepAliveTest covers persistent connections: several requests per
 // connection, when the server closes, the client's one retry on a stale
-// kept connection, the idle deadline, and reaping of finished threads.
+// kept connection, the idle and whole-request deadlines, and reaping of
+// finished threads.
 #include "server/extraction_server.hpp"
 #include "server/http_client.hpp"
 #include "wire/json.hpp"
@@ -18,6 +19,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -359,6 +361,15 @@ TEST(ServerLoopbackTest, AdmissionShedsWithHttp503AndTypedStatus) {
   (void)http_call(server.port(), "POST",
                   "/v1/jobs/" + std::to_string(queued) + "/cancel");
   server.queue().wait_all();
+
+  // The shed submit never became a job: only the two accepted ones reached
+  // a worker, so the shed one issued no probe.
+  const QueueStats stats = server.queue().stats();
+  EXPECT_EQ(stats.submitted, 2u);
+  EXPECT_EQ(stats.rejected, 1u);
+  std::size_t dispatched = 0;
+  for (const TenantStats& row : stats.tenants) dispatched += row.dispatched;
+  EXPECT_EQ(dispatched, 2u);
 }
 
 TEST(ServerLoopbackTest, StatsEndpointServesQueueAndTenantCounters) {
@@ -632,6 +643,41 @@ TEST(ServerKeepAliveTest, IdleConnectionsCloseAtTheDeadlineAndClientsRetry) {
   ASSERT_TRUE(response.ok()) << response.status().message();
   EXPECT_EQ(response.value().body, "ok /y\n");
   EXPECT_EQ(server.connections_served(), 2u);
+}
+
+TEST(ServerKeepAliveTest, TrickledRequestIsAnswered408AtTheRequestDeadline) {
+  EchoServer server;
+  ASSERT_TRUE(server.start().ok());
+  const int fd = connect_raw(server.port());
+  ASSERT_GE(fd, 0);
+  // One header byte per second never trips the idle deadline; only the
+  // whole-request deadline, counted from the first byte, ends the request.
+  timeval pace{};
+  pace.tv_sec = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &pace, sizeof pace);
+  const std::string head = "GET /slow HTTP/1.1\r\nX-Trickle: ";
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_EQ(::send(fd, head.data(), head.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(head.size()));
+  const double limit = 2.0 * HttpServer::kRequestTimeoutSeconds;
+  std::string reply;
+  char chunk[4096];
+  for (;;) {
+    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+    if (n == 0) break;  // the server closed the connection
+    if (n > 0) {
+      reply.append(chunk, static_cast<std::size_t>(n));
+      continue;
+    }
+    if (seconds_since(t0) > limit) break;
+    if (reply.empty()) (void)::send(fd, "a", 1, MSG_NOSIGNAL);
+  }
+  const double waited = seconds_since(t0);
+  ::close(fd);
+  EXPECT_EQ(reply.rfind("HTTP/1.1 408 Request Timeout\r\n", 0), 0u) << reply;
+  EXPECT_NE(reply.find("Connection: close\r\n"), std::string::npos) << reply;
+  EXPECT_GE(waited, HttpServer::kRequestTimeoutSeconds - 1.0);
+  EXPECT_LT(waited, limit);
 }
 
 TEST(ServerKeepAliveTest, ClosedConnectionThreadsAreReaped) {
