@@ -17,6 +17,7 @@
 
 #include <chrono>
 #include <memory>
+#include <vector>
 
 namespace qvg {
 namespace {
@@ -214,6 +215,86 @@ TEST(FastExtractorCancellationTest, ProbeBudgetInterruptsWithPartialStats) {
   EXPECT_GE(result.stats.total_requests, 150);
   EXPECT_GT(result.stats.unique_probes, 0);
   EXPECT_LT(result.stats.unique_probes, 10000);
+}
+
+TEST(FastExtractorCancellationTest, BudgetStopsEveryLaneAtTheSameCheck) {
+  // A budget equal to the probe count sampled at a check stops the job at
+  // exactly that check. One budget per anchor check after the diagonal
+  // (before the mask sweeps, between Mask_x and Mask_y, before the snap
+  // scans, between them) and one inside the sweeps. At depth >= 2 the
+  // anchors submit the independent batch (Mask_y, snap B) ahead of the
+  // check that gates it, so a stop there must abort that batch unexecuted:
+  // every lane reports the same stop with the same probes issued.
+  const Csd recorded = make_synthetic_csd(SyntheticCsdSpec{});
+
+  std::vector<long> anchor_checks;
+  std::vector<long> sweep_checks;
+  {
+    CsdPlayback playback(recorded);
+    AcquisitionContext context;
+    context.progress = ProgressSink::make([&](const ProgressEvent& event) {
+      if (event.stage == "anchors") anchor_checks.push_back(event.probes_used);
+      if (event.stage == "sweeps") sweep_checks.push_back(event.probes_used);
+    });
+    ASSERT_TRUE(run_fast_extraction(playback, recorded.x_axis(),
+                                    recorded.y_axis(), {}, context)
+                    .status.ok());
+  }
+  // Entry, before Mask_x, between the masks, before the snaps, between them.
+  ASSERT_EQ(anchor_checks.size(), 5u);
+  ASSERT_GT(sweep_checks.size(), 4u);
+
+  struct Stop {
+    long max_probes;
+    const char* stage;
+    bool after_lookahead;  // depth >= 2 has the next batch in flight
+  };
+  const std::vector<Stop> stops = {
+      {anchor_checks[1], "anchors", false},
+      {anchor_checks[2], "anchors", true},
+      {anchor_checks[3], "anchors", false},
+      {anchor_checks[4], "anchors", true},
+      {sweep_checks[sweep_checks.size() / 2], "sweeps", false},
+  };
+
+  enum class Lane { kAdapter, kDepth1, kDepth4 };
+  struct Run {
+    FastExtractionResult result;
+    FaultStats stats;
+  };
+  const auto run_lane = [&recorded](long max_probes, Lane lane) {
+    CsdPlayback playback(recorded);
+    AcquisitionContext context;
+    context.max_probes = max_probes;
+    context.faults = FaultRecorder::make();
+    if (lane == Lane::kDepth1) context.transport.io_depth = 1;
+    if (lane == Lane::kDepth4) context.transport.io_depth = 4;
+    Run run{run_fast_extraction(playback, recorded.x_axis(),
+                                recorded.y_axis(), {}, context),
+            {}};
+    run.stats = context.faults.snapshot();
+    return run;
+  };
+
+  for (const Stop& stop : stops) {
+    SCOPED_TRACE(stop.max_probes);
+    const Run adapter = run_lane(stop.max_probes, Lane::kAdapter);
+    EXPECT_EQ(adapter.result.status.code(), ErrorCode::kBudgetExhausted);
+    EXPECT_EQ(adapter.result.status.stage(), stop.stage);
+    EXPECT_EQ(adapter.result.stats.total_requests, stop.max_probes);
+    EXPECT_EQ(adapter.stats.driver_aborted_transfers, 0);
+    for (const Lane lane : {Lane::kDepth1, Lane::kDepth4}) {
+      const Run run = run_lane(stop.max_probes, lane);
+      EXPECT_EQ(run.result.status, adapter.result.status);
+      EXPECT_EQ(run.result.stats.unique_probes,
+                adapter.result.stats.unique_probes);
+      EXPECT_EQ(run.result.stats.total_requests,
+                adapter.result.stats.total_requests);
+      EXPECT_EQ(run.result.probe_log, adapter.result.probe_log);
+      const bool aborted = lane == Lane::kDepth4 && stop.after_lookahead;
+      EXPECT_EQ(run.stats.driver_aborted_transfers, aborted ? 1 : 0);
+    }
+  }
 }
 
 TEST(FastExtractorCancellationTest, SweepStageInterruptionKeepsPartialPoints) {
