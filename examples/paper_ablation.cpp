@@ -1,4 +1,4 @@
-// Ablation study (DESIGN.md experiment E4) over the design choices the
+// Ablation study over the design choices the
 // paper motivates in §4.3.2: the two sweep directions and the
 // post-processing filter, plus this implementation's robustness additions
 // (triangle slack, anchor-step clamp, Huber loss). Each variant runs over
@@ -105,9 +105,10 @@ int main() {
             << render_table({"variant", "success", "mean alpha error",
                              "mean probes"},
                             rows)
-            << "\nExpected shape: the full method wins; dropping a sweep or "
-               "the filter degrades accuracy on one line family; the "
-               "paper-literal sweeps are noticeably more fragile on noisy "
-               "devices.\n";
+            << "\nExpected shape: dropping either sweep loses successes and "
+               "the paper-literal sweeps are more fragile; the "
+               "post-processing filter lowers the mean error without "
+               "changing the success count; the Huber loss and the residual "
+               "choice do not change the suite.\n";
   return 0;
 }

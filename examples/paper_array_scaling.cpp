@@ -1,4 +1,4 @@
-// Array-scaling study (DESIGN.md experiment E6): virtualizing a linear
+// Array-scaling study: virtualizing a linear
 // N-dot array needs N-1 sequential pair extractions (paper §2.3). This
 // bench measures total probes and simulated experiment time for the fast
 // method vs the full-CSD baseline as N grows — the wall-clock argument for

@@ -5,7 +5,8 @@
 // (simulated experiment time + measured compute time), and speedup.
 //
 // Absolute times differ from the paper (their substrate is the qflow
-// measurement corpus; ours is a physics simulator — DESIGN.md §3), but the
+// measurement corpus; ours is a physics simulator, see
+// dataset/qflow_synth.hpp), but the
 // shape should match: fast succeeds 10/12 and baseline 9/12, fast probes
 // ~4-17% of the pixels, and speedups fall in the ~6x-20x band growing with
 // diagram size.
@@ -40,7 +41,7 @@ int main() {
   std::cout << "Table 1 reproduction: fast virtual gate extraction vs "
                "Canny+Hough baseline\n"
             << "(synthetic qflow-like suite, 50 ms dwell per unique probe; "
-               "see DESIGN.md)\n\n";
+               "see src/dataset/qflow_synth.hpp)\n\n";
 
   std::vector<Row> rows;
   int fast_successes = 0;

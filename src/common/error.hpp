@@ -5,13 +5,10 @@
 //  * Environmental errors (I/O, parse) throw IoError / ParseError.
 //  * *Expected* domain outcomes — e.g. "extraction failed on this noisy
 //    device" — are not exceptional; they are reported through result structs
-//    or Expected<T>.
+//    or Status / Result<T> (common/status.hpp).
 #pragma once
 
-#include <optional>
 #include <stdexcept>
-#include <string>
-#include <utility>
 
 namespace qvg {
 
@@ -43,57 +40,6 @@ class ParseError : public Error {
 class NumericalError : public Error {
  public:
   using Error::Error;
-};
-
-/// Minimal expected-value type for operations whose failure is an ordinary,
-/// reportable outcome (std::expected is C++23; we target C++20).
-template <typename T>
-class Expected {
- public:
-  /// Construct a success value.
-  Expected(T value) : value_(std::move(value)) {}  // NOLINT(google-explicit-constructor)
-
-  /// Construct a failure carrying a human-readable reason.
-  static Expected failure(std::string reason) {
-    Expected e;
-    e.reason_ = std::move(reason);
-    return e;
-  }
-
-  [[nodiscard]] bool has_value() const noexcept { return value_.has_value(); }
-  explicit operator bool() const noexcept { return has_value(); }
-
-  /// Access the success value. Throws ContractViolation when empty.
-  [[nodiscard]] const T& value() const& {
-    if (!value_) throw ContractViolation("Expected::value() on failure: " + reason_);
-    return *value_;
-  }
-  [[nodiscard]] T& value() & {
-    if (!value_) throw ContractViolation("Expected::value() on failure: " + reason_);
-    return *value_;
-  }
-  [[nodiscard]] T&& value() && {
-    if (!value_) throw ContractViolation("Expected::value() on failure: " + reason_);
-    return std::move(*value_);
-  }
-
-  const T& operator*() const& { return value(); }
-  T& operator*() & { return value(); }
-  const T* operator->() const { return &value(); }
-  T* operator->() { return &value(); }
-
-  /// Failure reason; empty string when the Expected holds a value.
-  [[nodiscard]] const std::string& reason() const noexcept { return reason_; }
-
-  /// Return the value or a fallback.
-  [[nodiscard]] T value_or(T fallback) const {
-    return value_ ? *value_ : std::move(fallback);
-  }
-
- private:
-  Expected() = default;
-  std::optional<T> value_;
-  std::string reason_;
 };
 
 }  // namespace qvg

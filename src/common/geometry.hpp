@@ -1,10 +1,12 @@
 // 2-D geometry primitives used throughout the extraction pipeline.
 //
-// Coordinate convention (see DESIGN.md §2): x is the VP1 axis (column index
-// increases rightward), y is the VP2 axis (row index increases upward).
-// Charge-state region (0,0) sits at low x / low y. Both transition lines have
-// negative slope; the (0,0)->(1,0) line is steep, the (0,0)->(0,1) line is
-// shallow.
+// Coordinate convention, shared by every module: x is the VP1 axis (column
+// index increases rightward), y is the VP2 axis (row index increases
+// upward), and grids index as (x, y). Charge-state region (0,0) sits at low
+// x / low y. Both transition lines have negative slope dVP2/dVP1; the
+// (0,0)->(1,0) line is steep (|m| > 1), the (0,0)->(0,1) line is shallow
+// (|m| < 1). The paper's figures plot VP1 on the vertical axis instead, so
+// its §2.3 formulas match ours modulo that swap.
 #pragma once
 
 #include <cmath>

@@ -7,7 +7,7 @@
 // callers parse prose to branch on the failure kind. Status replaces it with
 // a machine-readable code, the pipeline stage that failed, and the
 // human-readable detail; Result<T> carries a Status alongside an optional
-// value for call-shaped APIs (the Status analogue of Expected<T>).
+// value for call-shaped APIs.
 #pragma once
 
 #include "common/error.hpp"
@@ -114,8 +114,7 @@ class Status {
 };
 
 /// Status-carrying expected type: a value, or the Status explaining why
-/// there is none. Mirrors Expected<T>'s surface (has_value/value/reason) so
-/// migrating call sites is mechanical, and adds status() for typed handling.
+/// there is none.
 template <typename T>
 class Result {
  public:

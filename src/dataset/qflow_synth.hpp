@@ -4,8 +4,7 @@
 // dataset (Si/SiGe triple-dot device measured in double-dot configuration,
 // cropped to the four-region area, final sizes 63x63 .. 200x200). That data
 // is not redistributable here, so this module builds 12 simulated
-// benchmarks with the same pixel sizes and calibrated noise tiers
-// (DESIGN.md §3):
+// benchmarks with the same pixel sizes and calibrated noise tiers:
 //
 //   * CSD 1, 2  (200x200): heavy noise — both methods are expected to fail,
 //     like the two qflow devices the paper reports as too noisy.

@@ -3,8 +3,7 @@
 #include "common/assert.hpp"
 #include "extraction/feature_gradient.hpp"
 #include "imgproc/kernel.hpp"
-#include "probe/driver/instrument_driver.hpp"
-#include "probe/retry_policy.hpp"
+#include "probe/driver/batch_pipeline.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -28,12 +27,12 @@ Point2 clamped_voltage(const VoltageAxis& x_axis, const VoltageAxis& y_axis,
           y_axis.voltage(static_cast<double>(cy))};
 }
 
-/// Batched mask sweep, split for pipelined submission: build() queues every
-/// non-zero mask tap of every centre in the same (centre-major, row-major
-/// tap) order the scalar sweep probed them, submit() posts the batch to the
-/// driver, and reduce() (valid once the completion is ok) accumulates one
-/// weighted response per centre — so a fault-free acquisition is
-/// bit-identical to the scalar sweep regardless of how submission overlaps.
+/// One batched mask sweep: build() queues every non-zero mask tap of every
+/// centre in the same (centre-major, row-major tap) order the scalar sweep
+/// probed them, the caller submits `probes` into `currents`, and reduce()
+/// (valid once that batch completed ok) accumulates one weighted response
+/// per centre — so a fault-free acquisition is bit-identical to the scalar
+/// sweep however submission overlaps.
 struct MaskSweep {
   std::vector<Point2> probes;
   std::vector<double> weights;
@@ -67,11 +66,6 @@ struct MaskSweep {
     }
     offsets.push_back(probes.size());
     currents.resize(probes.size());
-  }
-
-  [[nodiscard]] CompletionHandle submit(AsyncCurrentSource& driver,
-                                        const AcquisitionContext& context) {
-    return driver.submit(probes, currents, context, "anchors");
   }
 
   void reduce(std::vector<double>& responses) const {
@@ -120,6 +114,20 @@ std::size_t weighted_argmax(const std::vector<double>& responses,
   return best;
 }
 
+/// The candidate offset whose gradient is largest (the first on ties).
+int best_offset(std::span<const double> gradients,
+                const std::vector<int>& offsets) {
+  int best = 0;
+  double best_g = -1e300;
+  for (std::size_t i = 0; i < offsets.size(); ++i) {
+    if (gradients[i] > best_g) {
+      best_g = gradients[i];
+      best = offsets[i];
+    }
+  }
+  return best;
+}
+
 }  // namespace
 
 Result<AnchorResult> find_anchor_points(AsyncCurrentSource& driver,
@@ -133,47 +141,30 @@ Result<AnchorResult> find_anchor_points(AsyncCurrentSource& driver,
     return anchor_failure("scan window too small for anchor preprocessing");
   QVG_EXPECTS(opt.num_diagonal_points >= 2);
 
-  // Lookahead only helps when the driver actually overlaps transfers. At
-  // depth 1 (the SyncSourceAdapter, or a depth-1 ring) every batch is
-  // submitted strictly after the check that gates it, which keeps the
-  // interrupted behaviour — which batches were issued when the job stopped —
-  // call-for-call identical to the pre-driver synchronous loop. At depth
-  // >= 2 independent batches (the two mask sweeps; the two snap scans) are
-  // submitted back to back so the transport pipelines them; the checks keep
-  // their synchronous *values* (they are driven by completion-carried probe
-  // counts), so an uninterrupted run is bit-identical at any depth.
-  const bool pipelined = driver.depth() >= 2;
-
-  // One interruption check per probe batch; a batch in flight always runs to
-  // completion so the probe accounting stays well-defined. `last_probes`
-  // mirrors source.probe_count() at the equivalent synchronous boundary.
-  long last_probes = driver.probes_completed();
-  auto interrupted = [&](Status& status) {
-    status = context.check("anchors", last_probes);
-    return !status.ok();
-  };
-  Status interrupt;
-
-  // On an early return with a batch still in flight: abort it and wait the
-  // handle out, so the local buffers it points into stay valid for the
-  // driver's lifetime rules.
-  const auto discard = [&](CompletionHandle& handle) {
-    if (!handle.valid()) return;
-    driver.abort_inflight();
-    (void)handle.wait();
-    handle = CompletionHandle();
-  };
+  // The batch buffers outlive the pipeline, which aborts whatever an early
+  // return leaves in flight.
+  std::vector<Point2> diagonal_probes;
+  std::vector<double> diagonal_currents;
+  MaskSweep sweep_x;
+  MaskSweep sweep_y;
+  FeatureGradientBatch snap_a;
+  FeatureGradientBatch snap_b;
+  // One check before every batch. Batches that do not depend on each other
+  // (the two mask sweeps, the two snap scans) go out back to back while the
+  // pipeline has room, so at depth >= 2 the transport overlaps them; at
+  // depth 1 the second is submitted after the check that gates it. The
+  // checks see completion-carried probe counts either way, so an
+  // uninterrupted run is bit-identical at any depth.
+  BatchPipeline pipeline(driver, context, "anchors");
 
   AnchorResult result;
 
   // 1. Diagonal probe: ten equally spaced points (one batched request), find
-  //    the brightest. Everything downstream depends on it, so it is always
-  //    submit + wait.
-  if (interrupted(interrupt)) return interrupt;
+  //    the brightest. Everything downstream depends on it.
+  if (Status interrupt = pipeline.check(); !interrupt.ok()) return interrupt;
   const int nd = opt.num_diagonal_points;
   std::vector<Pixel> diagonal;
   diagonal.reserve(static_cast<std::size_t>(nd));
-  std::vector<Point2> diagonal_probes;
   diagonal_probes.reserve(static_cast<std::size_t>(nd));
   for (int k = 0; k < nd; ++k) {
     const double frac = static_cast<double>(k) / static_cast<double>(nd - 1);
@@ -184,14 +175,9 @@ Result<AnchorResult> find_anchor_points(AsyncCurrentSource& driver,
     diagonal.push_back({static_cast<int>(px), static_cast<int>(py)});
     diagonal_probes.push_back(clamped_voltage(x_axis, y_axis, px, py));
   }
-  std::vector<double> diagonal_currents(diagonal_probes.size());
-  {
-    CompletionHandle handle =
-        driver.submit(diagonal_probes, diagonal_currents, context, "anchors");
-    const BatchCompletion& completion = handle.wait();
-    if (!completion.outcome.ok()) return completion.outcome.status;
-    last_probes = completion.probes_after;
-  }
+  diagonal_currents.resize(diagonal_probes.size());
+  pipeline.submit(diagonal_probes, diagonal_currents);
+  if (Status failed = pipeline.complete().status; !failed.ok()) return failed;
   Pixel brightest{0, 0};
   double brightest_current = -1e300;
   for (std::size_t k = 0; k < diagonal.size(); ++k) {
@@ -211,151 +197,94 @@ Result<AnchorResult> find_anchor_points(AsyncCurrentSource& driver,
       distance(brightest, origin) >= distance(fallback, origin) ? brightest
                                                                 : fallback;
 
-  // 3. Mask sweeps with a Gaussian prior. Both sweeps depend only on the
-  //    starting point, so a pipelined driver runs them back to back.
-  const Kernel2D mask_x = paper_mask_x();
-  const Kernel2D mask_y = paper_mask_y();
-
+  // 3. Mask sweeps with a Gaussian prior. Both depend only on the starting
+  //    point.
   const std::ptrdiff_t x_lo = result.start.x;
   const std::ptrdiff_t x_hi = w - 1;
   if (x_hi <= x_lo) return anchor_failure("empty Mask_x sweep range");
-  if (interrupted(interrupt)) return interrupt;
+  if (Status interrupt = pipeline.check(); !interrupt.ok()) return interrupt;
 
-  MaskSweep sweep_x;
   {
     const auto n = static_cast<std::size_t>(x_hi - x_lo + 1);
     std::vector<Pixel> centers(n);
     for (std::size_t i = 0; i < n; ++i)
       centers[i] = {static_cast<int>(x_lo + static_cast<std::ptrdiff_t>(i)),
                     result.start.y};
-    sweep_x.build(x_axis, y_axis, mask_x, centers);
+    sweep_x.build(x_axis, y_axis, paper_mask_x(), centers);
   }
   const std::ptrdiff_t y_lo = result.start.y;
   const std::ptrdiff_t y_hi = h - 1;
-  MaskSweep sweep_y;
   if (y_hi > y_lo) {
     const auto n = static_cast<std::size_t>(y_hi - y_lo + 1);
     std::vector<Pixel> centers(n);
     for (std::size_t i = 0; i < n; ++i)
       centers[i] = {result.start.x,
                     static_cast<int>(y_lo + static_cast<std::ptrdiff_t>(i))};
-    sweep_y.build(x_axis, y_axis, mask_y, centers);
+    sweep_y.build(x_axis, y_axis, paper_mask_y(), centers);
   }
 
-  CompletionHandle handle_x = sweep_x.submit(driver, context);
-  CompletionHandle handle_y;
-  if (pipelined && y_hi > y_lo) handle_y = sweep_y.submit(driver, context);
+  pipeline.submit(sweep_x.probes, sweep_x.currents);
+  if (y_hi > y_lo && pipeline.has_room())
+    pipeline.submit(sweep_y.probes, sweep_y.currents);
 
   // Sweep Mask_x rightward along the starting row: anchor B (steep line).
-  {
-    const BatchCompletion& completion = handle_x.wait();
-    if (!completion.outcome.ok()) {
-      discard(handle_y);
-      return completion.outcome.status;
-    }
-    last_probes = completion.probes_after;
-    sweep_x.reduce(result.response_x);
-    const auto n = static_cast<std::size_t>(x_hi - x_lo + 1);
-    const auto prior = gaussian_prior(n, opt.gaussian_sigma_fraction);
-    const std::size_t best = weighted_argmax(result.response_x, prior);
-    result.anchor_b = {static_cast<int>(x_lo + static_cast<std::ptrdiff_t>(best)),
-                       result.start.y};
-  }
+  if (Status failed = pipeline.complete().status; !failed.ok()) return failed;
+  sweep_x.reduce(result.response_x);
+  const std::size_t best_x = weighted_argmax(
+      result.response_x,
+      gaussian_prior(result.response_x.size(), opt.gaussian_sigma_fraction));
+  result.anchor_b = {
+      static_cast<int>(x_lo + static_cast<std::ptrdiff_t>(best_x)),
+      result.start.y};
 
   // Sweep Mask_y upward along the starting column: anchor A (shallow line).
   if (y_hi <= y_lo) return anchor_failure("empty Mask_y sweep range");
-  if (interrupted(interrupt)) {
-    discard(handle_y);
-    return interrupt;
-  }
-  {
-    if (!handle_y.valid()) handle_y = sweep_y.submit(driver, context);
-    const BatchCompletion& completion = handle_y.wait();
-    if (!completion.outcome.ok()) return completion.outcome.status;
-    last_probes = completion.probes_after;
-    sweep_y.reduce(result.response_y);
-    const auto n = static_cast<std::size_t>(y_hi - y_lo + 1);
-    const auto prior = gaussian_prior(n, opt.gaussian_sigma_fraction);
-    const std::size_t best = weighted_argmax(result.response_y, prior);
-    result.anchor_a = {result.start.x,
-                       static_cast<int>(y_lo + static_cast<std::ptrdiff_t>(best))};
-  }
+  if (Status interrupt = pipeline.check(); !interrupt.ok()) return interrupt;
+  if (pipeline.idle()) pipeline.submit(sweep_y.probes, sweep_y.currents);
+  if (Status failed = pipeline.complete().status; !failed.ok()) return failed;
+  sweep_y.reduce(result.response_y);
+  const std::size_t best_y = weighted_argmax(
+      result.response_y,
+      gaussian_prior(result.response_y.size(), opt.gaussian_sigma_fraction));
+  result.anchor_a = {
+      result.start.x,
+      static_cast<int>(y_lo + static_cast<std::ptrdiff_t>(best_y))};
 
   // Snap each anchor to the nearby feature-gradient maximum so the fit's
   // fixed endpoints use the same bright-side pixel convention as the sweeps.
-  // The two scans are independent once both anchors are known, so a
-  // pipelined driver runs them back to back too.
+  // The two scans are independent once both anchors are known.
   if (opt.snap_radius > 0) {
-    if (interrupted(interrupt)) return interrupt;
-    FeatureGradientBatch batch_a;
-    std::vector<int> candidates_a;
+    if (Status interrupt = pipeline.check(); !interrupt.ok()) return interrupt;
+    std::vector<int> offsets_a;
     for (int dy = -opt.snap_radius; dy <= opt.snap_radius; ++dy) {
       const int y = result.anchor_a.y + dy;
       if (y < 0 || y >= static_cast<int>(h)) continue;
-      candidates_a.push_back(dy);
-      batch_a.add(x_axis.voltage(static_cast<double>(result.anchor_a.x)),
-                  y_axis.voltage(static_cast<double>(y)));
+      offsets_a.push_back(dy);
+      snap_a.add(x_axis.voltage(static_cast<double>(result.anchor_a.x)),
+                 y_axis.voltage(static_cast<double>(y)));
     }
-    FeatureGradientBatch batch_b;
-    std::vector<int> candidates_b;
+    std::vector<int> offsets_b;
     for (int dx = -opt.snap_radius; dx <= opt.snap_radius; ++dx) {
       const int x = result.anchor_b.x + dx;
       if (x < 0 || x >= static_cast<int>(w)) continue;
-      candidates_b.push_back(dx);
-      batch_b.add(x_axis.voltage(static_cast<double>(x)),
-                  y_axis.voltage(static_cast<double>(result.anchor_b.y)));
+      offsets_b.push_back(dx);
+      snap_b.add(x_axis.voltage(static_cast<double>(x)),
+                 y_axis.voltage(static_cast<double>(result.anchor_b.y)));
     }
 
-    CompletionHandle handle_a =
-        batch_a.submit(driver, x_axis.step(), y_axis.step(), context,
-                       "anchors");
-    CompletionHandle handle_b;
-    if (pipelined)
-      handle_b =
-          batch_b.submit(driver, x_axis.step(), y_axis.step(), context,
-                         "anchors");
+    snap_a.submit(pipeline, x_axis.step(), y_axis.step());
+    if (pipeline.has_room())
+      snap_b.submit(pipeline, x_axis.step(), y_axis.step());
 
-    {
-      const BatchCompletion& completion = handle_a.wait();
-      if (!completion.outcome.ok()) {
-        discard(handle_b);
-        return completion.outcome.status;
-      }
-      last_probes = completion.probes_after;
-      const std::span<const double> gradients = batch_a.reduce();
-      int best_dy = 0;
-      double best_g = -1e300;
-      for (std::size_t i = 0; i < candidates_a.size(); ++i) {
-        if (gradients[i] > best_g) {
-          best_g = gradients[i];
-          best_dy = candidates_a[i];
-        }
-      }
-      result.anchor_a.y += best_dy;
-    }
-    if (interrupted(interrupt)) {
-      discard(handle_b);
-      return interrupt;
-    }
-    {
-      if (!handle_b.valid())
-        handle_b =
-            batch_b.submit(driver, x_axis.step(), y_axis.step(), context,
-                           "anchors");
-      const BatchCompletion& completion = handle_b.wait();
-      if (!completion.outcome.ok()) return completion.outcome.status;
-      last_probes = completion.probes_after;
-      const std::span<const double> gradients = batch_b.reduce();
-      int best_dx = 0;
-      double best_g = -1e300;
-      for (std::size_t i = 0; i < candidates_b.size(); ++i) {
-        if (gradients[i] > best_g) {
-          best_g = gradients[i];
-          best_dx = candidates_b[i];
-        }
-      }
-      result.anchor_b.x += best_dx;
-    }
+    if (Status failed = pipeline.complete().status; !failed.ok())
+      return failed;
+    result.anchor_a.y += best_offset(snap_a.reduce(), offsets_a);
+
+    if (Status interrupt = pipeline.check(); !interrupt.ok()) return interrupt;
+    if (pipeline.idle()) snap_b.submit(pipeline, x_axis.step(), y_axis.step());
+    if (Status failed = pipeline.complete().status; !failed.ok())
+      return failed;
+    result.anchor_b.x += best_offset(snap_b.reduce(), offsets_b);
   }
 
   // The anchors must span a valid triangle: A strictly left of and above B.
@@ -373,12 +302,8 @@ Result<AnchorResult> find_anchor_points(CurrentSource& source,
                                         const VoltageAxis& y_axis,
                                         const AnchorOptions& opt,
                                         const AcquisitionContext& context) {
-  if (context.transport.enabled()) {
-    InstrumentDriver driver(source, context.transport, context.faults);
-    return find_anchor_points(driver, x_axis, y_axis, opt, context);
-  }
-  SyncSourceAdapter adapter(source);
-  return find_anchor_points(adapter, x_axis, y_axis, opt, context);
+  ProbeLane lane(source, context);
+  return find_anchor_points(lane.get(), x_axis, y_axis, opt, context);
 }
 
 }  // namespace qvg

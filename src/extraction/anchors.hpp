@@ -66,15 +66,12 @@ struct AnchorResult {
     const AnchorOptions& options = {},
     const AcquisitionContext& context = {});
 
-/// The same search over an explicit driver lane. Batches that do not depend
-/// on each other — the two mask sweeps, the two snap scans — are submitted
-/// back to back when driver.depth() >= 2, pipelining the transport's
-/// command latency; at depth 1 (SyncSourceAdapter) every batch is submitted
-/// strictly after the check that gates it, call-for-call identical to the
-/// CurrentSource overload. Uninterrupted results are bit-identical at any
-/// depth. The CurrentSource overload routes here through an
-/// InstrumentDriver when context.transport is enabled, through the
-/// SyncSourceAdapter otherwise.
+/// The same search over an explicit lane; the CurrentSource overload runs
+/// it on the job's ProbeLane. The batches go through one BatchPipeline, so
+/// at depth >= 2 the two mask sweeps, and then the two snap scans, are in
+/// flight together. Uninterrupted results are bit-identical at any depth,
+/// and an interrupted run stops at the same check with the same probes
+/// issued.
 [[nodiscard]] Result<AnchorResult> find_anchor_points(
     AsyncCurrentSource& driver, const VoltageAxis& x_axis,
     const VoltageAxis& y_axis, const AnchorOptions& options = {},

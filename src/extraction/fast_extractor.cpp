@@ -2,11 +2,10 @@
 
 #include "common/stopwatch.hpp"
 #include "extraction/postprocess.hpp"
-#include "probe/driver/instrument_driver.hpp"
+#include "probe/driver/batch_pipeline.hpp"
 #include "probe/probe_cache.hpp"
 
 #include <algorithm>
-#include <optional>
 
 namespace qvg {
 
@@ -25,19 +24,10 @@ FastExtractionResult run_fast_extraction(CurrentSource& source,
   // covers the typical 4-17% unique-probe fraction without rehashing.
   cache.reserve((x_axis.count() + y_axis.count()) * 8);
 
-  // One acquisition lane for the whole job, wrapped around the cache: an
-  // InstrumentDriver when the job models a transport (its ring runs on this
-  // thread, its stats flushed into context.faults when the lane is
-  // destroyed), the SyncSourceAdapter — call-for-call the pre-driver path —
-  // otherwise. Every stage waits or aborts its batches before returning, so
-  // the cache statistics finish() reads cover every executed batch.
-  std::optional<InstrumentDriver> driver;
-  std::optional<SyncSourceAdapter> adapter;
-  AsyncCurrentSource* lane = nullptr;
-  if (context.transport.enabled())
-    lane = &driver.emplace(cache, context.transport, context.faults);
-  else
-    lane = &adapter.emplace(cache);
+  // One acquisition lane for the whole job, wrapped around the cache. Every
+  // stage waits or aborts its batches before returning, so the cache
+  // statistics finish() reads cover every executed batch.
+  ProbeLane lane(cache, context);
 
   auto finish = [&](Status status) {
     result.status = std::move(status);
@@ -49,28 +39,25 @@ FastExtractionResult run_fast_extraction(CurrentSource& source,
     result.probe_log = cache.probe_log();
     return result;
   };
-  // Interruption check between stages; the budget counts requests on the
-  // cache (the interface the pipeline drives).
-  auto interrupt_at = [&](const char* stage) {
-    return context.check(stage, cache.probe_count());
-  };
-
   // Stage 1: anchor preprocessing (§4.4). The context threads through and
   // is checked before every anchor probe batch (including once on entry),
   // so a pre-cancelled job stops with zero probes.
   auto anchors =
-      find_anchor_points(*lane, x_axis, y_axis, opt.anchors, context);
+      find_anchor_points(lane.get(), x_axis, y_axis, opt.anchors, context);
   if (!anchors) return finish(anchors.status());
   result.anchors = std::move(anchors).value();
 
   // Stage 2: triangle sweeps (§4.3.2, Algorithm 3), context checked between
-  // segment batches.
-  if (Status s = interrupt_at("sweeps"); !s.ok()) return finish(std::move(s));
+  // stages and segment batches; the budget counts requests on the cache (the
+  // interface the pipeline drives).
+  if (Status s = context.check("sweeps", cache.probe_count()); !s.ok())
+    return finish(std::move(s));
   SweepOptions sweep_opt = opt.sweep;
   sweep_opt.run_row_sweep = opt.enable_row_sweep;
   sweep_opt.run_col_sweep = opt.enable_col_sweep;
-  result.sweeps = run_sweeps(*lane, x_axis, y_axis, result.anchors.anchor_a,
-                             result.anchors.anchor_b, sweep_opt, context);
+  result.sweeps =
+      run_sweeps(lane.get(), x_axis, y_axis, result.anchors.anchor_a,
+                 result.anchors.anchor_b, sweep_opt, context);
   if (!result.sweeps.status.ok()) return finish(result.sweeps.status);
   std::vector<Pixel> raw_points;
   if (opt.enable_row_sweep)

@@ -1,8 +1,7 @@
 #include "extraction/feature_gradient.hpp"
 
 #include "common/assert.hpp"
-#include "probe/acquisition_context.hpp"
-#include "probe/retry_policy.hpp"
+#include "probe/driver/batch_pipeline.hpp"
 
 namespace qvg {
 
@@ -15,7 +14,8 @@ double feature_gradient(CurrentSource& source, double v1, double v2,
   return (c - c_right) + (c - c_upper_right);
 }
 
-void FeatureGradientBatch::build_probes(double delta_x, double delta_y) {
+void FeatureGradientBatch::submit(BatchPipeline& pipeline, double delta_x,
+                                  double delta_y) {
   QVG_EXPECTS(delta_x > 0.0 && delta_y > 0.0);
   probes_.clear();
   probes_.reserve(centers_.size() * 3);
@@ -25,9 +25,10 @@ void FeatureGradientBatch::build_probes(double delta_x, double delta_y) {
     probes_.push_back({c.x + delta_x, c.y + delta_y});
   }
   currents_.resize(probes_.size());
+  pipeline.submit(probes_, currents_);
 }
 
-std::span<const double> FeatureGradientBatch::reduce_gradients() {
+std::span<const double> FeatureGradientBatch::reduce() {
   gradients_.resize(centers_.size());
   for (std::size_t i = 0; i < centers_.size(); ++i) {
     const double c = currents_[3 * i];
@@ -36,35 +37,6 @@ std::span<const double> FeatureGradientBatch::reduce_gradients() {
     gradients_[i] = (c - c_right) + (c - c_upper_right);
   }
   return gradients_;
-}
-
-std::span<const double> FeatureGradientBatch::evaluate(CurrentSource& source,
-                                                       double delta_x,
-                                                       double delta_y) {
-  build_probes(delta_x, delta_y);
-  source.get_currents(probes_, currents_);
-  return reduce_gradients();
-}
-
-CompletionHandle FeatureGradientBatch::submit(AsyncCurrentSource& driver,
-                                              double delta_x, double delta_y,
-                                              const AcquisitionContext& context,
-                                              const char* stage) {
-  build_probes(delta_x, delta_y);
-  return driver.submit(probes_, currents_, context, stage);
-}
-
-Status FeatureGradientBatch::try_evaluate(CurrentSource& source,
-                                          double delta_x, double delta_y,
-                                          const AcquisitionContext& context,
-                                          const char* stage,
-                                          std::span<const double>& out) {
-  build_probes(delta_x, delta_y);
-  const ProbeOutcome outcome =
-      probe_with_retry(source, probes_, currents_, context, stage);
-  if (!outcome.ok()) return outcome.status;
-  out = reduce_gradients();
-  return {};
 }
 
 }  // namespace qvg

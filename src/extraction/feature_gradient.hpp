@@ -14,16 +14,14 @@
 // tilted gradient", Figure 4). delta is the voltage granularity (pixel size).
 #pragma once
 
-#include "common/status.hpp"
 #include "probe/current_source.hpp"
-#include "probe/driver/async_source.hpp"
 
 #include <span>
 #include <vector>
 
 namespace qvg {
 
-class AcquisitionContext;
+class BatchPipeline;
 
 /// Evaluate the feature gradient at gate voltages (v1, v2) = (x, y) with
 /// pixel sizes (delta_x, delta_y). Costs up to three probes (shared
@@ -32,55 +30,28 @@ class AcquisitionContext;
                                       double v2, double delta_x,
                                       double delta_y);
 
-/// Batched Algorithm 2: queue gradient centres with add(), then evaluate()
-/// issues all of their probes as ONE get_currents request — in the exact
-/// order the scalar feature_gradient loop would issue them, so results (and,
-/// through a ProbeCache, the probe log and statistics) are bit-identical to
-/// probing point by point. Buffers are reused across evaluate() calls; one
-/// instance per sweep keeps the hot loop allocation-free at steady state.
+/// Batched Algorithm 2: queue gradient centres with add(), then submit()
+/// issues all of their probes as ONE batch through a BatchPipeline — in the
+/// exact order the scalar feature_gradient loop would issue them, so results
+/// (and, through a ProbeCache, the probe log and statistics) are
+/// bit-identical to probing point by point. Once that batch completed ok,
+/// reduce() turns the received currents into one gradient per centre.
+/// Buffers are reused across submissions; one instance per sweep keeps the
+/// hot loop allocation-free at steady state.
 class FeatureGradientBatch {
  public:
   void clear() { centers_.clear(); }
   void add(double v1, double v2) { centers_.push_back({v1, v2}); }
   [[nodiscard]] std::size_t size() const noexcept { return centers_.size(); }
 
-  /// Evaluate every queued centre; returns one gradient per centre, in add()
-  /// order. The returned span is valid until the next evaluate() call.
-  std::span<const double> evaluate(CurrentSource& source, double delta_x,
-                                   double delta_y);
+  /// Submit the queued centres' probes. Until the batch completes, the
+  /// instance must not be touched (the lane writes its currents buffer).
+  void submit(BatchPipeline& pipeline, double delta_x, double delta_y);
 
-  /// Fallible evaluation: the probe batch goes through probe_with_retry
-  /// (transient faults retried per context.retry, drift absorbed — a cached
-  /// source invalidates its stale region — and exhaustion escalating to
-  /// kProbeHardFault, all recorded to context.faults). On ok() `out` is the
-  /// per-centre gradient span, bit-identical to evaluate() on a fault-free
-  /// source and valid until the next evaluation; on failure `out` is left
-  /// untouched. `stage` names the caller's pipeline stage for the Status.
-  [[nodiscard]] Status try_evaluate(CurrentSource& source, double delta_x,
-                                    double delta_y,
-                                    const AcquisitionContext& context,
-                                    const char* stage,
-                                    std::span<const double>& out);
-
-  /// Asynchronous evaluation, split for pipelining: submit() posts the
-  /// queued centres' probe batch to the driver and returns the completion
-  /// handle; once the completion is ok(), reduce() turns the received
-  /// currents into the per-centre gradient span (valid until the next
-  /// evaluation). Between submit() and the handle's wait() the instance must
-  /// not be touched (the driver writes its currents buffer). Through a
-  /// SyncSourceAdapter submit()+reduce() is exactly try_evaluate().
-  [[nodiscard]] CompletionHandle submit(AsyncCurrentSource& driver,
-                                        double delta_x, double delta_y,
-                                        const AcquisitionContext& context,
-                                        const char* stage);
-  [[nodiscard]] std::span<const double> reduce() { return reduce_gradients(); }
+  /// One gradient per centre, in add() order, valid until the next submit().
+  [[nodiscard]] std::span<const double> reduce();
 
  private:
-  /// Queue the 3 probes per centre into probes_ (shared by both paths).
-  void build_probes(double delta_x, double delta_y);
-  /// Reduce currents_ into per-centre gradients (shared by both paths).
-  std::span<const double> reduce_gradients();
-
   std::vector<Point2> centers_;
   std::vector<Point2> probes_;
   std::vector<double> currents_;

@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <string>
+#include <utility>
 
 namespace qvg {
 
@@ -47,18 +49,22 @@ double path_distance(Point2 p, const Segment& first, const Segment& second) {
   return std::min(std::hypot(d1.x, d1.y), std::hypot(d2.x, d2.y));
 }
 
+/// A rejected fit. The stage is left to the caller, so reason() is `detail`.
+Status fit_failure(std::string detail) {
+  return Status::failure(ErrorCode::kFitFailed, "", std::move(detail));
+}
+
 }  // namespace
 
 double distance_to_path(Point2 p, Point2 a, Point2 vertex, Point2 b) {
   return path_distance(p, Segment(a, vertex), Segment(vertex, b));
 }
 
-Expected<PiecewiseFit> fit_piecewise_linear(const std::vector<Pixel>& points,
-                                            Pixel anchor_a, Pixel anchor_b,
-                                            const PiecewiseFitOptions& opt) {
+Result<PiecewiseFit> fit_piecewise_linear(const std::vector<Pixel>& points,
+                                          Pixel anchor_a, Pixel anchor_b,
+                                          const PiecewiseFitOptions& opt) {
   if (points.size() < 3)
-    return Expected<PiecewiseFit>::failure(
-        "piecewise fit needs at least 3 transition points");
+    return fit_failure("piecewise fit needs at least 3 transition points");
   QVG_EXPECTS(anchor_a.x < anchor_b.x);
   QVG_EXPECTS(anchor_a.y > anchor_b.y);
 
@@ -131,18 +137,15 @@ Expected<PiecewiseFit> fit_piecewise_linear(const std::vector<Pixel>& points,
   const double dx_shallow = fit.intersection.x - a.x;
   const double dx_steep = b.x - fit.intersection.x;
   if (dx_shallow < 0.25 || dx_steep < 0.25)
-    return Expected<PiecewiseFit>::failure(
-        "fitted intersection collapsed onto an anchor");
+    return fit_failure("fitted intersection collapsed onto an anchor");
 
   fit.slope_shallow = (fit.intersection.y - a.y) / dx_shallow;
   fit.slope_steep = (b.y - fit.intersection.y) / dx_steep;
 
   if (!(fit.slope_shallow < 0.0) || !(fit.slope_steep < 0.0))
-    return Expected<PiecewiseFit>::failure(
-        "fitted transition lines must both have negative slope");
+    return fit_failure("fitted transition lines must both have negative slope");
   if (!(fit.slope_steep < fit.slope_shallow))
-    return Expected<PiecewiseFit>::failure(
-        "steep/shallow slope ordering violated by the fit");
+    return fit_failure("steep/shallow slope ordering violated by the fit");
 
   const Segment shallow(a, fit.intersection);
   const Segment steep(fit.intersection, b);

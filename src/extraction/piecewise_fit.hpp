@@ -6,8 +6,8 @@
 // Huber loss) by Nelder-Mead alone.
 #pragma once
 
-#include "common/error.hpp"
 #include "common/geometry.hpp"
+#include "common/status.hpp"
 
 #include <vector>
 
@@ -49,10 +49,11 @@ struct PiecewiseFit {
 };
 
 /// Fit the 2-piecewise-linear shape. anchor_a/anchor_b are the *initial*
-/// anchors (fixed endpoints). Fails when there are fewer than 3 points or
-/// the optimum degenerates (intersection outside the anchor box or slopes
-/// with the wrong sign ordering).
-[[nodiscard]] Expected<PiecewiseFit> fit_piecewise_linear(
+/// anchors (fixed endpoints). Fails with kFitFailed (empty stage; the
+/// caller names it) when there are fewer than 3 points or the optimum
+/// degenerates (intersection outside the anchor box or slopes with the
+/// wrong sign ordering).
+[[nodiscard]] Result<PiecewiseFit> fit_piecewise_linear(
     const std::vector<Pixel>& points, Pixel anchor_a, Pixel anchor_b,
     const PiecewiseFitOptions& options = {});
 

@@ -2,7 +2,7 @@
 
 #include "common/assert.hpp"
 #include "extraction/feature_gradient.hpp"
-#include "probe/driver/instrument_driver.hpp"
+#include "probe/driver/batch_pipeline.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -45,31 +45,19 @@ SweepResult run_sweeps(AsyncCurrentSource& driver, const VoltageAxis& x_axis,
   // single submission (same probe order as the scalar loop, so a wrapped
   // ProbeCache sees identical traffic and backends batch the rest). Each
   // segment's argmax moves the anchor shaping the next segment, so segments
-  // are submit + wait — serial through the driver at any depth.
+  // are submit + wait at any depth: there is nothing to overlap. Before each
+  // segment the pipeline checks the context; a stopped sweep keeps the
+  // points found so far and reports the typed Status.
   FeatureGradientBatch batch;
   SweepResult result;
-
-  // Interruption check before each segment batch: a stopped sweep keeps the
-  // points found so far and reports the typed Status. `last_probes` mirrors
-  // source.probe_count() at the equivalent synchronous boundary (the ring is
-  // idle between segments, so the completion-carried count is exact).
-  long last_probes = driver.probes_completed();
-  auto interrupted = [&] {
-    result.status = context.check("sweeps", last_probes);
-    return !result.status.ok();
-  };
+  BatchPipeline pipeline(driver, context, "sweeps");
 
   // Submit + wait one segment batch; on ok, `gradients` holds the reduced
   // per-pixel gradients.
   const auto evaluate_segment = [&](std::span<const double>& gradients) {
-    CompletionHandle handle = batch.submit(driver, x_axis.step(),
-                                           y_axis.step(), context, "sweeps");
-    const BatchCompletion& completion = handle.wait();
-    if (!completion.outcome.ok()) {
-      result.status = completion.outcome.status;
-      return false;
-    }
-    last_probes = completion.probes_after;
+    batch.submit(pipeline, x_axis.step(), y_axis.step());
+    result.status = pipeline.complete().status;
+    if (!result.status.ok()) return false;
     gradients = batch.reduce();
     return true;
   };
@@ -81,7 +69,8 @@ SweepResult run_sweeps(AsyncCurrentSource& driver, const VoltageAxis& x_axis,
     for (int row = anchor_b.y + 1; row <= anchor_a.y - 1; ++row) {
       const auto span = triangle.row_span(static_cast<double>(row));
       if (!span) continue;
-      if (interrupted()) return result;
+      result.status = pipeline.check();
+      if (!result.status.ok()) return result;
       auto [x_lo, x_hi] =
           pixel_range(span->first - slack, span->second + slack, w - 1);
       // Keep the moving anchor strictly right of the fixed anchor A.
@@ -120,7 +109,8 @@ SweepResult run_sweeps(AsyncCurrentSource& driver, const VoltageAxis& x_axis,
     for (int col = anchor_a.x + 1; col <= anchor_b.x - 1; ++col) {
       const auto span = triangle.col_span(static_cast<double>(col));
       if (!span) continue;
-      if (interrupted()) return result;
+      result.status = pipeline.check();
+      if (!result.status.ok()) return result;
       auto [y_lo, y_hi] =
           pixel_range(span->first - slack, span->second + slack, h - 1);
       // Keep the moving anchor strictly above the fixed anchor B.
@@ -159,13 +149,9 @@ SweepResult run_sweeps(CurrentSource& source, const VoltageAxis& x_axis,
                        const VoltageAxis& y_axis, Pixel anchor_a,
                        Pixel anchor_b, const SweepOptions& opt,
                        const AcquisitionContext& context) {
-  if (context.transport.enabled()) {
-    InstrumentDriver driver(source, context.transport, context.faults);
-    return run_sweeps(driver, x_axis, y_axis, anchor_a, anchor_b, opt,
-                      context);
-  }
-  SyncSourceAdapter adapter(source);
-  return run_sweeps(adapter, x_axis, y_axis, anchor_a, anchor_b, opt, context);
+  ProbeLane lane(source, context);
+  return run_sweeps(lane.get(), x_axis, y_axis, anchor_a, anchor_b, opt,
+                    context);
 }
 
 }  // namespace qvg

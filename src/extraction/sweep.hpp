@@ -2,9 +2,9 @@
 // critical triangle with a row-major and a column-major sweep, dynamically
 // shrinking the triangle after every found point.
 //
-// Geometry (DESIGN.md §2): anchor A = (on the shallow line, upper-left),
-// anchor B = (on the steep line, lower-right); the triangle has its right
-// angle at (B.x, A.y).
+// Geometry (convention in common/geometry.hpp): anchor A = (on the shallow
+// line, upper-left), anchor B = (on the steep line, lower-right); the
+// triangle has its right angle at (B.x, A.y).
 //
 //  * Row-major sweep (bottom -> top): for each row between B and A, probe
 //    the pixels inside the triangle, keep the maximum-feature-gradient pixel
@@ -83,14 +83,10 @@ struct SweepResult {
                                      const SweepOptions& options = {},
                                      const AcquisitionContext& context = {});
 
-/// The same sweeps over an explicit driver lane. Each segment's argmax
-/// moves the anchor that shapes the next segment, so segments are
-/// inherently serial — the driver still absorbs the per-batch transport
-/// charge and keeps the cancellation boundary at the driver, but there is
-/// no lookahead to pipeline. Results are bit-identical to the CurrentSource
-/// overload, which routes here through an InstrumentDriver when
-/// context.transport is enabled and through the SyncSourceAdapter
-/// otherwise.
+/// The same sweeps over an explicit lane; the CurrentSource overload runs
+/// them on the job's ProbeLane. Each segment's argmax moves the anchor that
+/// shapes the next segment, so segments are submitted one at a time at any
+/// depth. Results are bit-identical across lanes.
 [[nodiscard]] SweepResult run_sweeps(AsyncCurrentSource& driver,
                                      const VoltageAxis& x_axis,
                                      const VoltageAxis& y_axis, Pixel anchor_a,

@@ -13,13 +13,14 @@ Matrix VirtualGatePair::matrix() const {
   return Matrix{{1.0, alpha12}, {alpha21, 1.0}};
 }
 
-Expected<VirtualGatePair> virtualization_from_slopes(double slope_steep,
-                                                     double slope_shallow) {
+Result<VirtualGatePair> virtualization_from_slopes(double slope_steep,
+                                                   double slope_shallow) {
   if (!(slope_steep < 0.0) || !(slope_shallow < 0.0))
-    return Expected<VirtualGatePair>::failure(
-        "transition-line slopes must be negative");
+    return Status::failure(ErrorCode::kDegenerateVirtualization, "",
+                           "transition-line slopes must be negative");
   if (!(slope_steep < slope_shallow))
-    return Expected<VirtualGatePair>::failure(
+    return Status::failure(
+        ErrorCode::kDegenerateVirtualization, "",
         "steep slope must be more negative than shallow slope");
   VirtualGatePair pair;
   pair.alpha12 = -1.0 / slope_steep;

@@ -9,11 +9,11 @@
 //
 // and the virtual gates are [V'P1; V'P2] = [[1, a12], [a21, 1]] [VP1; VP2].
 // This matrix equals D^-1 A of the underlying lever-arm matrix, i.e. it
-// orthogonalizes the dot potentials exactly (DESIGN.md §2 notes the axis
-// convention relative to the paper's figures).
+// orthogonalizes the dot potentials exactly (common/geometry.hpp gives the
+// axis convention relative to the paper's figures).
 #pragma once
 
-#include "common/error.hpp"
+#include "common/status.hpp"
 #include "grid/csd.hpp"
 #include "linalg/matrix.hpp"
 
@@ -33,8 +33,9 @@ struct VirtualGatePair {
 };
 
 /// Build the pair from measured slopes (both must be negative, with
-/// m_steep < m_shallow). Fails otherwise.
-[[nodiscard]] Expected<VirtualGatePair> virtualization_from_slopes(
+/// m_steep < m_shallow). Fails otherwise with kDegenerateVirtualization
+/// (empty stage; the caller names it).
+[[nodiscard]] Result<VirtualGatePair> virtualization_from_slopes(
     double slope_steep, double slope_shallow);
 
 /// Slope of a line after mapping voltage space through the virtualization

@@ -22,10 +22,8 @@ struct TransitionTruth {
   /// Intersection of the two lines (triple-point region), in volts.
   Point2 triple_point{};
   /// Reference compensation coefficients of the exact orthogonalizing matrix
-  /// M = D^-1 A (DESIGN.md §2): in the x = VP1, y = VP2 convention,
-  /// a12 = -1/slope_steep and a21 = -slope_shallow. (The paper's §2.3
-  /// formulas are the same modulo its figure-axes convention, which plots
-  /// VP1 on the vertical axis.)
+  /// M = D^-1 A: in the x = VP1, y = VP2 convention (common/geometry.hpp),
+  /// a12 = -1/slope_steep and a21 = -slope_shallow.
   [[nodiscard]] double alpha12() const { return -1.0 / slope_steep; }
   [[nodiscard]] double alpha21() const { return -slope_shallow; }
 

@@ -1,5 +1,5 @@
-// Row-major 2-D grid. Index convention matches DESIGN.md §2: operator()(x, y)
-// where x is the column (VP1 axis) and y is the row (VP2 axis).
+// Row-major 2-D grid, indexed operator()(x, y) with x the column (VP1 axis)
+// and y the row (VP2 axis); see common/geometry.hpp for the convention.
 #pragma once
 
 #include "common/assert.hpp"

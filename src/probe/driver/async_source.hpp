@@ -1,25 +1,25 @@
 // The instrument-driver boundary of the acquisition path.
 //
-// Synchronous probe loops call probe_with_retry and block; a real instrument
-// sits behind a command link, so the engine should *submit* transfers and
-// consume completions — the producer/consumer shape of a DMA device driver.
-// AsyncCurrentSource is that interface: submit(batch) returns a
-// CompletionHandle immediately, up to depth() batches ride in flight, and
+// A real instrument sits behind a command link, so the engine *submits*
+// transfers and consumes completions, the producer/consumer shape of a DMA
+// device driver. AsyncCurrentSource is that interface: submit(batch) returns
+// a CompletionHandle immediately, up to depth() batches ride in flight, and
 // every completion carries the ProbeOutcome plus the source's probe count
-// observed right after the batch executed (so callers can evaluate budget
-// checks deterministically without touching the source while transfers are
-// in flight).
+// observed right after the batch executed. Probe stages do not drive it by
+// hand: BatchPipeline (batch_pipeline.hpp) owns the in-flight window, the
+// completion-carried probe accounting and the abort on early return, and
+// ProbeLane picks the implementation for a job.
 //
 // Two implementations exist:
 //   * SyncSourceAdapter — executes each batch inline at submit() (depth 1).
 //     Every existing backend (DeviceSimulator, CsdPlayback, ProbeCache,
 //     FaultInjectingCurrentSource) runs unchanged behind it, call for call
-//     and bit for bit identical to the pre-driver loops. This is the default
-//     lane (TransportOptions::io_depth == 0).
+//     and bit for bit identical to calling probe_with_retry directly. This
+//     is the default lane (TransportOptions::io_depth == 0).
 //   * InstrumentDriver (instrument_driver.hpp) — a bounded request ring and
 //     a simulated transport for jobs that model a slow link (io_depth >= 1).
 //     Queued batches run on the caller's thread, oldest first, when a
-//     handle is waited, on drain(), or when a full ring takes a submit.
+//     handle is waited or when a full ring takes a submit.
 #pragma once
 
 #include "probe/acquisition_context.hpp"
@@ -95,23 +95,19 @@ class AsyncCurrentSource {
   /// kCancelled without executing. Later submissions run normally.
   virtual void abort_inflight() = 0;
 
-  /// Complete every queued batch, oldest first. After drain() nothing is in
-  /// flight and probes_completed() is the source's current probe count.
-  virtual void drain() = 0;
-
   /// Maximum batches in flight at once (1 for the sync adapter).
   [[nodiscard]] virtual long depth() const = 0;
 
   /// The source's probe_count() after the last completed batch. Only
-  /// meaningful when nothing is in flight (call after drain(), or at entry);
-  /// pipelined loops use BatchCompletion::probes_after instead.
+  /// meaningful when nothing is in flight; pipelined loops use
+  /// BatchCompletion::probes_after instead.
   [[nodiscard]] virtual long probes_completed() const = 0;
 };
 
 /// Depth-1 adapter: submit() runs probe_with_retry inline and returns an
 /// already-completed handle. The default lane for every job without
-/// transport options — behaviourally identical to calling probe_with_retry
-/// directly, which is what the pre-driver loops did.
+/// transport options, behaviourally identical to calling probe_with_retry
+/// directly.
 class SyncSourceAdapter final : public AsyncCurrentSource {
  public:
   explicit SyncSourceAdapter(CurrentSource& source) : source_(source) {}
@@ -121,7 +117,6 @@ class SyncSourceAdapter final : public AsyncCurrentSource {
                                         const AcquisitionContext& context,
                                         const char* stage) override;
   void abort_inflight() override {}
-  void drain() override {}
   [[nodiscard]] long depth() const override { return 1; }
   [[nodiscard]] long probes_completed() const override {
     return source_.probe_count();

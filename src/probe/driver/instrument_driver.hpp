@@ -74,7 +74,9 @@ class InstrumentDriver final : public AsyncCurrentSource {
                                         const AcquisitionContext& context,
                                         const char* stage) override;
   void abort_inflight() override;
-  void drain() override;
+  /// Complete every queued batch, oldest first. Afterwards nothing is in
+  /// flight and probes_completed() is the source's current probe count.
+  void drain();
   [[nodiscard]] long depth() const override { return transport_.io_depth; }
   [[nodiscard]] long probes_completed() const override {
     return last_probes_;

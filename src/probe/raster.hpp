@@ -6,7 +6,6 @@
 #include "grid/csd.hpp"
 #include "probe/acquisition_context.hpp"
 #include "probe/current_source.hpp"
-#include "probe/driver/async_source.hpp"
 
 namespace qvg {
 
@@ -21,12 +20,15 @@ namespace qvg {
 
 /// Context-aware acquisition. An unlimited context takes the single-batch
 /// path above; a limited one issues the raster in whole-row batches of at
-/// least ~512 probes and checks the context between them, so a cancelled or
-/// expired job stops at the next batch boundary (never mid-batch) with the
-/// probes already issued still counted on the source. Probe order is
-/// identical either way, so an uninterrupted limited acquisition is
-/// bit-identical to the unlimited one. On interruption returns the typed
-/// Status (stage "raster"); the partially acquired pixels are discarded.
+/// least ~512 probes through the job's ProbeLane (an InstrumentDriver when
+/// context.transport is enabled, with up to io_depth batches in flight) and
+/// checks the context between them, so a cancelled or expired job stops at
+/// the next batch boundary (never mid-batch) with the probes already issued
+/// still counted on the source. Probe order is identical either way, and
+/// every check is driven by completion-carried probe counts, so an
+/// uninterrupted limited acquisition is bit-identical to the unlimited one
+/// at any depth. On interruption returns the typed Status (stage "raster");
+/// the partially acquired pixels are discarded.
 ///
 /// The limited path is also the fault-tolerant one: every batch goes
 /// through probe_with_retry (transient faults retried per context.retry,
@@ -39,20 +41,6 @@ namespace qvg {
 /// (true of FaultInjectingCurrentSource and any real driver; a ProbeCache
 /// invalidates its own stale region internally instead).
 [[nodiscard]] Result<Csd> acquire_full_csd(CurrentSource& source,
-                                           const VoltageAxis& x_axis,
-                                           const VoltageAxis& y_axis,
-                                           const AcquisitionContext& context);
-
-/// The same checked acquisition over an explicit driver lane: row batches
-/// are *submitted* to the AsyncCurrentSource with up to driver.depth()
-/// transfers in flight (pipelining the transport's command latency away),
-/// and every budget/drift decision is driven by completion-carried probe
-/// counts, so results and check sequences are deterministic at any depth
-/// and bit-identical across depths for uninterrupted runs. The
-/// CurrentSource overload above routes here — through an InstrumentDriver
-/// when context.transport is enabled, through the SyncSourceAdapter
-/// (call-for-call the pre-driver loop) otherwise.
-[[nodiscard]] Result<Csd> acquire_full_csd(AsyncCurrentSource& driver,
                                            const VoltageAxis& x_axis,
                                            const VoltageAxis& y_axis,
                                            const AcquisitionContext& context);

@@ -6,44 +6,6 @@
 namespace qvg {
 namespace {
 
-TEST(ExpectedTest, HoldsValue) {
-  Expected<int> e(42);
-  ASSERT_TRUE(e.has_value());
-  EXPECT_TRUE(static_cast<bool>(e));
-  EXPECT_EQ(*e, 42);
-  EXPECT_EQ(e.value(), 42);
-  EXPECT_TRUE(e.reason().empty());
-}
-
-TEST(ExpectedTest, FailureCarriesReason) {
-  auto e = Expected<int>::failure("nope");
-  EXPECT_FALSE(e.has_value());
-  EXPECT_EQ(e.reason(), "nope");
-}
-
-TEST(ExpectedTest, ValueOnFailureThrows) {
-  auto e = Expected<int>::failure("bad");
-  EXPECT_THROW((void)e.value(), ContractViolation);
-}
-
-TEST(ExpectedTest, ValueOrFallsBack) {
-  auto e = Expected<int>::failure("bad");
-  EXPECT_EQ(e.value_or(7), 7);
-  Expected<int> ok(3);
-  EXPECT_EQ(ok.value_or(7), 3);
-}
-
-TEST(ExpectedTest, MoveOutValue) {
-  Expected<std::string> e(std::string("payload"));
-  const std::string s = std::move(e).value();
-  EXPECT_EQ(s, "payload");
-}
-
-TEST(ExpectedTest, ArrowOperator) {
-  Expected<std::string> e(std::string("abc"));
-  EXPECT_EQ(e->size(), 3u);
-}
-
 TEST(ContractTest, ExpectsThrowsWithLocation) {
   try {
     QVG_EXPECTS(1 == 2);

@@ -61,6 +61,7 @@ TEST(ResultTest, HoldsValue) {
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(static_cast<bool>(result));
   EXPECT_EQ(*result, 42);
+  EXPECT_EQ(result.value_or(7), 42);
   EXPECT_TRUE(result.status().ok());
   EXPECT_TRUE(result.reason().empty());
 }
@@ -81,6 +82,7 @@ TEST(ResultTest, OkStatusCannotBecomeFailure) {
 
 TEST(ResultTest, MoveOutValue) {
   Result<std::string> result(std::string("payload"));
+  EXPECT_EQ(result->size(), 7u);
   const std::string taken = std::move(result).value();
   EXPECT_EQ(taken, "payload");
 }

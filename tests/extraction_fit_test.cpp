@@ -235,7 +235,8 @@ TEST(PiecewiseFitTest, TooFewPointsFails) {
   const auto fit = fit_piecewise_linear({{20, 45}, {50, 20}}, spec.anchor_a,
                                         spec.anchor_b);
   EXPECT_FALSE(fit.has_value());
-  EXPECT_NE(fit.reason().find("at least 3"), std::string::npos);
+  EXPECT_EQ(fit.status().code(), ErrorCode::kFitFailed);
+  EXPECT_EQ(fit.reason(), "piecewise fit needs at least 3 transition points");
 }
 
 TEST(PiecewiseFitTest, PositiveSlopeDataFails) {

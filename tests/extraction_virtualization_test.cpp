@@ -29,7 +29,11 @@ TEST(VirtualizationTest, RejectsInvalidSlopes) {
   EXPECT_FALSE(virtualization_from_slopes(4.0, -0.25).has_value());
   EXPECT_FALSE(virtualization_from_slopes(-4.0, 0.25).has_value());
   // Ordering violated: steep must be more negative.
-  EXPECT_FALSE(virtualization_from_slopes(-0.25, -4.0).has_value());
+  const auto unordered = virtualization_from_slopes(-0.25, -4.0);
+  EXPECT_FALSE(unordered.has_value());
+  EXPECT_EQ(unordered.status().code(), ErrorCode::kDegenerateVirtualization);
+  EXPECT_EQ(unordered.reason(),
+            "steep slope must be more negative than shallow slope");
 }
 
 TEST(VirtualizationTest, TransformSlopeMapsDirections) {
