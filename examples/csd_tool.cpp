@@ -8,22 +8,21 @@
 //   csd_tool --serve [--port P] [--max-pending N]
 //   csd_tool <diagram.csv> --connect PORT [--tenant NAME] [--progress]
 //            [--disconnect-after-first-event] [...request flags...]
-//   csd_tool --dots N [--frontier anneal|tabu|greedy] [--shards K]
-//            [--pixels P] [--method fast|hough] [--connect PORT]
-//   csd_tool --frontier-probe N [--frontier ...] [--frontier-seed S]
+//   csd_tool --dots N [--shards K] [--pixels P] [--method fast|hough]
+//            [--connect PORT]
+//   csd_tool --frontier-probe N [--frontier-seed S]
 //
 // --dots N runs the paper's n-dot array virtualization walk (n-1 pair
 // extractions, composed into the full matrix) against a freshly built
 // simulated linear array — no CSV needed. Pairs shard across the thread
-// pool (--shards K; 0 = one shard per pair); each pair's simulator uses the
-// chosen --frontier ground-state strategy above the exhaustive dot limit.
+// pool (--shards K; 0 = one shard per pair).
 // With --connect the n-1 pair extractions are submitted to a running server
 // as self-contained device wire requests and composed client-side — the
 // wire lane serves 10-16 dot arrays end to end.
-// --frontier-probe N solves one ground state on an N-dot device with the
-// chosen strategy and prints the occupation vector plus SolveStats; the
-// output is a pure function of (N, strategy, --frontier-seed), which the CI
-// smoke pins by diffing two runs.
+// --frontier-probe N anneals one ground state on an N-dot device with every
+// plunger at the window centre and prints the occupation vector plus
+// SolveStats; the output is a pure function of (N, --frontier-seed), which
+// the CI smoke pins by diffing two runs.
 //
 // Reads a CSD saved with qvg's CSV format (see dataset/csd_io.hpp), replays
 // it through the paper's simulated getCurrent (dwell-time accounting
@@ -103,11 +102,9 @@ int usage() {
                "       csd_tool --serve [--port P] [--max-pending N]\n"
                "       csd_tool <diagram.csv> --connect PORT [--tenant NAME] "
                "[--progress] [--disconnect-after-first-event]\n"
-               "       csd_tool --dots N [--frontier anneal|tabu|greedy] "
-               "[--shards K] [--pixels P] [--method fast|hough] "
-               "[--connect PORT]\n"
-               "       csd_tool --frontier-probe N [--frontier ...] "
-               "[--frontier-seed S]\n";
+               "       csd_tool --dots N [--shards K] [--pixels P] "
+               "[--method fast|hough] [--connect PORT]\n"
+               "       csd_tool --frontier-probe N [--frontier-seed S]\n";
   return kExitUsage;
 }
 
@@ -123,8 +120,7 @@ int array_exit_code(const qvg::Status& status) {
 }
 
 int print_array_outcome(const qvg::ArrayExtractionResult& result,
-                        std::size_t dots, const std::string& method,
-                        const std::string& frontier) {
+                        std::size_t dots, const std::string& method) {
   using namespace qvg;
   if (!result.status.ok()) {
     std::cout << "array extraction FAILED ["
@@ -136,7 +132,7 @@ int print_array_outcome(const qvg::ArrayExtractionResult& result,
   }
   std::cout << "array extraction succeeded (" << dots << " dots, "
             << result.pairs.size() << " pairs, " << method
-            << " method, frontier " << frontier << ")\n"
+            << " method)\n"
             << "  band max error vs ideal virtualization = "
             << result.band_max_error << "\n"
             << "  probes: " << result.total_stats.unique_probes
@@ -151,18 +147,15 @@ int print_array_outcome(const qvg::ArrayExtractionResult& result,
   return 0;
 }
 
-/// --frontier-probe: one deterministic stochastic ground-state solve,
-/// printed in full (occupation + SolveStats) so two same-seed runs can be
-/// diffed byte for byte.
-int run_frontier_probe(std::size_t dots, qvg::FrontierStrategy strategy,
-                       const std::string& frontier_label,
-                       std::uint64_t seed) {
+/// --frontier-probe: one deterministic anneal, printed in full (occupation
+/// + SolveStats) so two same-seed runs can be diffed byte for byte.
+int run_frontier_probe(std::size_t dots, std::uint64_t seed) {
   using namespace qvg;
   DotArrayParams params;
   params.n_dots = dots;
   const BuiltDevice device = build_dot_array(params);
   // Solve at the window centre of every plunger (all dots near their
-  // transition — the frustrated regime the stochastic search is for).
+  // transition — the frustrated regime the anneal is for).
   std::vector<double> voltages = device.base_voltages;
   const double centre = 0.5 * (params.window_lo + params.window_hi);
   for (std::size_t g = 0; g < device.model.num_gates(); ++g)
@@ -170,13 +163,12 @@ int run_frontier_probe(std::size_t dots, qvg::FrontierStrategy strategy,
   const auto drives = device.model.dot_drives(voltages);
 
   FrontierOptions options;
-  options.strategy = strategy;
   options.seed = seed;
   SolveStats stats;
   const std::vector<int> occupation = ground_state_frontier(
       device.model, drives, /*max_electrons_per_dot=*/4, options, &stats);
 
-  std::cout << "frontier " << frontier_label << " on " << dots
+  std::cout << "frontier anneal on " << dots
             << "-dot device, seed " << seed << "\n  occupation = [";
   for (std::size_t d = 0; d < occupation.size(); ++d)
     std::cout << (d == 0 ? "" : ", ") << occupation[d];
@@ -380,9 +372,7 @@ int run_client(const qvg::wire::WireRequest& request, std::uint16_t port,
 
 /// --dots without --connect: run the array walk through the local engine.
 int run_array_local(std::size_t dots, const std::string& method, double dwell,
-                    std::size_t pixels, std::size_t shards,
-                    qvg::FrontierStrategy strategy,
-                    const std::string& frontier_label) {
+                    std::size_t pixels, std::size_t shards) {
   using namespace qvg;
   DotArrayParams params;
   params.n_dots = dots;
@@ -393,10 +383,8 @@ int run_array_local(std::size_t dots, const std::string& method, double dwell,
   opt.pixels_per_axis = pixels;
   opt.dwell_seconds = dwell;
   opt.shards = shards;
-  opt.frontier = strategy;
   const ExtractionEngine engine;
-  return print_array_outcome(engine.run_array(device, opt), dots, method,
-                             frontier_label);
+  return print_array_outcome(engine.run_array(device, opt), dots, method);
 }
 
 /// --dots with --connect: submit the n-1 pair extractions as self-contained
@@ -405,9 +393,7 @@ int run_array_local(std::size_t dots, const std::string& method, double dwell,
 /// walk, with the device rebuilt locally from the identical params.
 int run_array_client(std::size_t dots, const std::string& method, double dwell,
                      std::size_t pixels, std::size_t shards,
-                     qvg::FrontierStrategy strategy,
-                     const std::string& frontier_label, std::uint16_t port,
-                     const std::string& tenant) {
+                     std::uint16_t port, const std::string& tenant) {
   using namespace qvg;
   using namespace qvg::server;
 
@@ -431,7 +417,6 @@ int run_array_client(std::size_t dots, const std::string& method, double dwell,
     request.device.noise_seed = 42 + pair_index;  // the array walk's schedule
     request.device.dwell_seconds = dwell;
     request.device.pixels_per_axis = pixels;
-    request.device.frontier = static_cast<std::uint64_t>(strategy);
     request.label = "pair-" + std::to_string(pair_index);
 
     const std::vector<std::uint8_t> bytes = wire::encode(request);
@@ -481,8 +466,7 @@ int run_array_client(std::size_t dots, const std::string& method, double dwell,
   // is bit-identical to each server-side materialization.
   const BuiltDevice device = build_dot_array(params);
   return print_array_outcome(
-      compose_array_result(device, std::move(pairs), shards), dots, method,
-      frontier_label);
+      compose_array_result(device, std::move(pairs), shards), dots, method);
 }
 
 }  // namespace
@@ -510,7 +494,6 @@ int main(int argc, char** argv) {
   bool wall_backoff = false;
   long dots = 0;
   long frontier_probe_dots = 0;
-  std::string frontier = "anneal";
   long shards = 0;
   long pixels = 48;
   unsigned long long frontier_seed = FrontierOptions{}.seed;
@@ -559,8 +542,6 @@ int main(int argc, char** argv) {
         tenant = argv[++i];
       } else if (flag == "--dots") {
         dots = std::stol(argv[++i]);
-      } else if (flag == "--frontier") {
-        frontier = argv[++i];
       } else if (flag == "--shards") {
         shards = std::stol(argv[++i]);
       } else if (flag == "--pixels") {
@@ -588,19 +569,10 @@ int main(int argc, char** argv) {
                       static_cast<std::size_t>(max_pending));
   }
 
-  FrontierStrategy frontier_strategy = FrontierStrategy::kAnneal;
-  if (frontier == "tabu") {
-    frontier_strategy = FrontierStrategy::kTabu;
-  } else if (frontier == "greedy") {
-    frontier_strategy = FrontierStrategy::kMultistartGreedy;
-  } else if (frontier != "anneal") {
-    return usage();
-  }
-
   if (frontier_probe_dots > 0) {
     if (frontier_probe_dots < 2 || frontier_probe_dots > 64) return usage();
     return run_frontier_probe(static_cast<std::size_t>(frontier_probe_dots),
-                              frontier_strategy, frontier, frontier_seed);
+                              frontier_seed);
   }
   if (dots > 0) {
     if (dots < 2 || dots > 64) return usage();
@@ -611,13 +583,11 @@ int main(int argc, char** argv) {
       return run_array_client(static_cast<std::size_t>(dots), method, dwell,
                               static_cast<std::size_t>(pixels),
                               static_cast<std::size_t>(shards),
-                              frontier_strategy, frontier,
                               static_cast<std::uint16_t>(connect_port),
                               tenant);
     return run_array_local(static_cast<std::size_t>(dots), method, dwell,
                            static_cast<std::size_t>(pixels),
-                           static_cast<std::size_t>(shards), frontier_strategy,
-                           frontier);
+                           static_cast<std::size_t>(shards));
   }
 
   if (path.empty()) return usage();

@@ -1,7 +1,7 @@
 // Portable fixed-width SIMD shim over compiler vector extensions.
 //
-// Design rules (DESIGN/ROADMAP perf convention: every fast path is pinned to
-// its scalar reference):
+// Design rules. Every fast path keeps a scalar reference implementation,
+// and a test pins the fast path to it bit for bit on every build:
 //
 //  * Fixed width, selected at compile time — no runtime dispatch. VecD is
 //    always kDoubleLanes doubles and VecF kFloatLanes floats, on every

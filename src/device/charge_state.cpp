@@ -122,6 +122,13 @@ bool metropolis_accept(double de, double t, Rng& rng) {
   return u < std::exp(x);
 }
 
+// The anneal's fixed schedule (see the header comment).
+constexpr int kAnnealRestarts = 3;
+constexpr int kAnnealSweeps = 24;
+constexpr double kAnnealInitialTemperatureScale = 0.8;
+constexpr double kAnnealCooling = 0.85;
+constexpr double kAnnealSwapProbability = 0.25;
+
 }  // namespace
 
 std::vector<int> ground_state_greedy(const CapacitanceModel& model,
@@ -169,52 +176,6 @@ std::vector<int> ground_state_greedy_reference(const CapacitanceModel& model,
     }
   }
   return occupation;
-}
-
-std::vector<int> ground_state_greedy_from(const CapacitanceModel& model,
-                                          const std::vector<double>& drives,
-                                          int max_electrons_per_dot,
-                                          std::vector<int> start) {
-  QVG_EXPECTS(max_electrons_per_dot >= 0);
-  QVG_EXPECTS(start.size() == model.num_dots());
-  std::vector<double> coupling(model.num_dots(), 0.0);
-  icm_relax(model, drives, max_electrons_per_dot, start, coupling);
-  return start;
-}
-
-std::vector<int> ground_state_greedy_multistart(
-    const CapacitanceModel& model, const std::vector<double>& drives,
-    int max_electrons_per_dot, int restarts, std::uint64_t seed) {
-  QVG_EXPECTS(max_electrons_per_dot >= 0);
-  QVG_EXPECTS(restarts >= 1);
-  const std::size_t n = model.num_dots();
-  const Rng base(seed);
-
-  std::vector<int> occupation(n, 0);
-  std::vector<double> coupling(n, 0.0);
-  std::vector<int> best;
-  double best_energy = std::numeric_limits<double>::infinity();
-
-  for (int r = 0; r < restarts; ++r) {
-    if (r == 0) {
-      std::fill(occupation.begin(), occupation.end(), 0);
-    } else {
-      // Stream-per-restart: restart k's starting state is a function of
-      // (seed, k) alone, never of how many restarts run in total, so
-      // multistart(R + j) replays multistart(R)'s starts exactly and then
-      // adds j new ones.
-      Rng stream = base.split(static_cast<std::uint64_t>(r));
-      for (auto& c : occupation)
-        c = static_cast<int>(stream.uniform_int(0, max_electrons_per_dot));
-    }
-    icm_relax(model, drives, max_electrons_per_dot, occupation, coupling);
-    const double e = model.energy(occupation, drives);
-    if (e < best_energy) {
-      best_energy = e;
-      best = occupation;
-    }
-  }
-  return best;
 }
 
 void DeltaMoveEvaluator::bind(const CapacitanceModel& model) {
@@ -562,7 +523,6 @@ void StochasticGroundStateSolver::bind(const CapacitanceModel& model) {
   start_.assign(n, 0);
   local_best_.assign(n, 0);
   polish_coupling_.assign(n, 0.0);
-  tabu_until_.clear();
 }
 
 void StochasticGroundStateSolver::offer_polished(
@@ -581,26 +541,30 @@ void StochasticGroundStateSolver::offer_polished(
   }
 }
 
-void StochasticGroundStateSolver::solve_anneal(
+const std::vector<int>& StochasticGroundStateSolver::solve(
     const std::vector<double>& drives, int max_electrons_per_dot,
-    const FrontierOptions& opt) {
+    const FrontierOptions& options) {
+  QVG_EXPECTS(model_ != nullptr);
+  QVG_EXPECTS(max_electrons_per_dot >= 0);
+  QVG_EXPECTS(drives.size() == eval_.num_dots());
+  stats_ = SolveStats{};
+  has_best_ = false;
+  best_energy_ = std::numeric_limits<double>::infinity();
+
   const std::size_t n = eval_.num_dots();
-  const Rng base(opt.seed);
-  const int restarts = std::max(1, opt.restarts);
-  const int sweeps = std::max(1, opt.sweeps);
+  const Rng base(options.seed);
   const auto max_c = static_cast<std::int64_t>(max_electrons_per_dot);
 
   // Temperature scale: the largest charging energy is the natural size of a
   // single-dot move's energy change.
   double t0 = 0.0;
   for (const double ec : model_->charging_energies()) t0 = std::max(t0, ec);
-  t0 *= opt.initial_temperature_scale;
+  t0 *= kAnnealInitialTemperatureScale;
   if (!(t0 > 0.0)) t0 = 1.0;
 
-  for (int r = 0; r < restarts; ++r) {
+  for (int r = 0; r < kAnnealRestarts; ++r) {
     ++stats_.restarts;
-    // Stream-per-restart, same schedule contract as multistart: restart k
-    // depends on (seed, k) only.
+    // Stream-per-restart: restart k depends on (seed, k) only.
     Rng rng = base.split(static_cast<std::uint64_t>(r));
     if (r == 0)
       std::fill(start_.begin(), start_.end(), 0);
@@ -611,11 +575,11 @@ void StochasticGroundStateSolver::solve_anneal(
     double local_best_e = eval_.energy();
 
     double t = t0;
-    for (int sweep = 0; sweep < sweeps; ++sweep) {
+    for (int sweep = 0; sweep < kAnnealSweeps; ++sweep) {
       for (std::size_t step = 0; step < n; ++step) {
         bool accepted = false;
         if (n >= 2 && max_electrons_per_dot >= 1 &&
-            rng.uniform() < opt.swap_probability) {
+            rng.uniform() < kAnnealSwapProbability) {
           const auto a = static_cast<std::size_t>(
               rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
           auto b = static_cast<std::size_t>(
@@ -648,137 +612,9 @@ void StochasticGroundStateSolver::solve_anneal(
           }
         }
       }
-      t *= opt.cooling;
+      t *= kAnnealCooling;
     }
     offer_polished(local_best_, drives, max_electrons_per_dot);
-  }
-}
-
-void StochasticGroundStateSolver::solve_tabu(const std::vector<double>& drives,
-                                             int max_electrons_per_dot,
-                                             const FrontierOptions& opt) {
-  const std::size_t n = eval_.num_dots();
-  const std::size_t m = static_cast<std::size_t>(max_electrons_per_dot) + 1;
-  const Rng base(opt.seed);
-  const int restarts = std::max(1, opt.restarts);
-  const std::uint64_t tenure =
-      opt.tabu_tenure > 0 ? static_cast<std::uint64_t>(opt.tabu_tenure)
-                          : static_cast<std::uint64_t>(n) / 2 + 2;
-  const std::uint64_t iters =
-      static_cast<std::uint64_t>(std::max(1, opt.tabu_iterations_per_dot)) *
-      static_cast<std::uint64_t>(n);
-  const auto max_c = static_cast<std::int64_t>(max_electrons_per_dot);
-
-  for (int r = 0; r < restarts; ++r) {
-    ++stats_.restarts;
-    Rng rng = base.split(static_cast<std::uint64_t>(r));
-    if (r == 0)
-      std::fill(start_.begin(), start_.end(), 0);
-    else
-      for (auto& c : start_) c = static_cast<int>(rng.uniform_int(0, max_c));
-    // Tabu explores the landscape around a local optimum: descend first.
-    icm_relax(*model_, drives, max_electrons_per_dot, start_,
-              polish_coupling_);
-    eval_.set_state(start_, drives);
-    local_best_ = eval_.occupation();
-    double local_best_e = eval_.energy();
-    tabu_until_.assign(n * m, 0);
-
-    for (std::uint64_t it = 1; it <= iters; ++it) {
-      // Steepest admissible move over the full single-dot + pair-swap
-      // neighbourhood (each candidate O(1)). A tabu move is admissible only
-      // if it beats the restart's best (aspiration). Fixed scan order and
-      // strict < keep the walk deterministic.
-      int best_kind = -1;  // 0 = single, 1 = swap
-      std::size_t move_a = 0;
-      std::size_t move_b = 0;
-      int move_c = 0;
-      double best_de = std::numeric_limits<double>::infinity();
-      const std::vector<int>& occ = eval_.occupation();
-      for (std::size_t d = 0; d < n; ++d) {
-        const int cur = occ[d];
-        for (int c = 0; c <= max_electrons_per_dot; ++c) {
-          if (c == cur) continue;
-          const double de = eval_.delta_single(d, c);
-          ++stats_.moves_evaluated;
-          const bool is_tabu =
-              tabu_until_[d * m + static_cast<std::size_t>(c)] > it;
-          if (is_tabu && !(eval_.energy() + de < local_best_e)) continue;
-          if (de < best_de) {
-            best_de = de;
-            best_kind = 0;
-            move_a = d;
-            move_c = c;
-          }
-        }
-      }
-      for (std::size_t a = 0; a + 1 < n; ++a) {
-        for (std::size_t b = a + 1; b < n; ++b) {
-          if (occ[a] == occ[b]) continue;
-          const double de = eval_.delta_swap(a, b);
-          ++stats_.moves_evaluated;
-          const bool is_tabu =
-              tabu_until_[a * m + static_cast<std::size_t>(occ[b])] > it ||
-              tabu_until_[b * m + static_cast<std::size_t>(occ[a])] > it;
-          if (is_tabu && !(eval_.energy() + de < local_best_e)) continue;
-          if (de < best_de) {
-            best_de = de;
-            best_kind = 1;
-            move_a = a;
-            move_b = b;
-          }
-        }
-      }
-      if (best_kind < 0) break;  // every move tabu and none aspirates
-
-      if (best_kind == 0) {
-        const int old = occ[move_a];
-        eval_.apply_single(move_a, move_c);
-        tabu_until_[move_a * m + static_cast<std::size_t>(old)] =
-            it + tenure + 1;
-      } else {
-        const int old_a = occ[move_a];
-        const int old_b = occ[move_b];
-        eval_.apply_swap(move_a, move_b);
-        tabu_until_[move_a * m + static_cast<std::size_t>(old_a)] =
-            it + tenure + 1;
-        tabu_until_[move_b * m + static_cast<std::size_t>(old_b)] =
-            it + tenure + 1;
-      }
-      ++stats_.moves_accepted;
-      if (eval_.energy() < local_best_e) {
-        local_best_e = eval_.energy();
-        local_best_ = eval_.occupation();
-      }
-    }
-    offer_polished(local_best_, drives, max_electrons_per_dot);
-  }
-}
-
-const std::vector<int>& StochasticGroundStateSolver::solve(
-    const std::vector<double>& drives, int max_electrons_per_dot,
-    const FrontierOptions& options) {
-  QVG_EXPECTS(model_ != nullptr);
-  QVG_EXPECTS(max_electrons_per_dot >= 0);
-  QVG_EXPECTS(drives.size() == eval_.num_dots());
-  stats_ = SolveStats{};
-  has_best_ = false;
-  best_energy_ = std::numeric_limits<double>::infinity();
-
-  switch (options.strategy) {
-    case FrontierStrategy::kAnneal:
-      solve_anneal(drives, max_electrons_per_dot, options);
-      break;
-    case FrontierStrategy::kTabu:
-      solve_tabu(drives, max_electrons_per_dot, options);
-      break;
-    case FrontierStrategy::kMultistartGreedy: {
-      const int restarts = std::max(1, options.restarts);
-      best_ = ground_state_greedy_multistart(
-          *model_, drives, max_electrons_per_dot, restarts, options.seed);
-      stats_.restarts = static_cast<std::uint64_t>(restarts);
-      break;
-    }
   }
   return best_;
 }
@@ -794,28 +630,6 @@ std::vector<int> ground_state_frontier(const CapacitanceModel& model,
       solver.solve(drives, max_electrons_per_dot, options);
   if (stats != nullptr) *stats = solver.last_stats();
   return result;
-}
-
-std::vector<int> ground_state_anneal(const CapacitanceModel& model,
-                                     const std::vector<double>& drives,
-                                     int max_electrons_per_dot,
-                                     const FrontierOptions& options,
-                                     SolveStats* stats) {
-  FrontierOptions opt = options;
-  opt.strategy = FrontierStrategy::kAnneal;
-  return ground_state_frontier(model, drives, max_electrons_per_dot, opt,
-                               stats);
-}
-
-std::vector<int> ground_state_tabu(const CapacitanceModel& model,
-                                   const std::vector<double>& drives,
-                                   int max_electrons_per_dot,
-                                   const FrontierOptions& options,
-                                   SolveStats* stats) {
-  FrontierOptions opt = options;
-  opt.strategy = FrontierStrategy::kTabu;
-  return ground_state_frontier(model, drives, max_electrons_per_dot, opt,
-                               stats);
 }
 
 void active_dots(const CapacitanceModel& model,
@@ -834,9 +648,10 @@ void GroundStateSolver::bind(const CapacitanceModel& model) {
   occupation_.assign(n, 0);
   active_.reserve(n);
   active_drives_.reserve(n);
-  // Both solvers bind lazily: exact_ rebinds per probe above the limit, and
-  // frontier_ only runs when too many dots are active.
-  exact_bound_to_model_ = false;
+  // Up to the limit exact_ holds the whole model for good. Above it exact_
+  // rebinds per probe to the active dots, and frontier_ binds lazily: it
+  // only runs when too many dots are active.
+  if (n <= kExhaustiveDotLimit) exact_.bind(model);
   frontier_ = StochasticGroundStateSolver{};
 }
 
@@ -846,16 +661,12 @@ const std::vector<int>& GroundStateSolver::solve(
   QVG_EXPECTS(model_ != nullptr);
   QVG_EXPECTS(drives.size() == model_->num_dots());
   const int max_electrons = options.max_electrons_per_dot;
-  const std::size_t limit = options.exhaustive_dot_limit;
 
-  if (model_->num_dots() <= limit) {
-    if (!exact_bound_to_model_) exact_.bind(*model_);
-    exact_bound_to_model_ = true;
+  if (model_->num_dots() <= kExhaustiveDotLimit)
     return exact_.solve(drives, max_electrons, warm_start);
-  }
 
   active_dots(*model_, drives, active_);
-  if (active_.size() > limit) {
+  if (active_.size() > kExhaustiveDotLimit) {
     if (!frontier_.bound()) frontier_.bind(*model_);
     return frontier_.solve(drives, max_electrons, options.frontier);
   }
@@ -865,7 +676,6 @@ const std::vector<int>& GroundStateSolver::solve(
   active_drives_.clear();
   for (const std::size_t d : active_) active_drives_.push_back(drives[d]);
   exact_.bind(*model_, active_);
-  exact_bound_to_model_ = false;
   const std::vector<int>& sub = exact_.solve(active_drives_, max_electrons);
   for (std::size_t a = 0; a < active_.size(); ++a)
     occupation_[active_[a]] = sub[a];

@@ -45,29 +45,27 @@
 //     delta-energy machinery as the incremental solver: each per-dot sweep
 //     is O(m) against a maintained coupling sum and an accepted move costs
 //     O(n), so a sweep is O(n * (m + n)) and no vectors are copied. Exact
-//     for diagonal-dominant couplings in practice but not guaranteed; use
-//     for arrays too large to enumerate (> exhaustive_dot_limit dots).
+//     for diagonal-dominant couplings in practice but not guaranteed.
 //     ground_state_greedy_reference keeps the original copy-based
-//     implementation as the equivalence oracle, and
-//     ground_state_greedy_multistart adds deterministic random restarts so
-//     large-array accuracy can be benchmarked against exact results.
+//     implementation as the equivalence oracle.
 //
-//   ground_state_anneal / ground_state_tabu — stochastic search for more
-//     than exhaustive_dot_limit active dots, built on the same O(1)
-//     delta-energy machinery (DeltaMoveEvaluator): single-dot occupancy
-//     moves and pair-swap moves evaluate in O(1) against maintained coupling
-//     sums, an accepted move costs O(n), and no per-trial vectors are copied.
-//     Annealing runs a geometric cooling schedule with deterministic
-//     restarts; tabu runs steepest-descent with a recency tabu list
-//     (attribute = (dot, previous occupancy)) and best-so-far aspiration.
-//     Both finish each restart with an ICM polish, so they never return
-//     worse than plain greedy, and both are fully deterministic given
-//     FrontierOptions::seed — restart k draws its starting state from
-//     Rng(seed).split(k), a stream independent of the restart count.
+//   ground_state_frontier — simulated annealing for more than
+//     kExhaustiveDotLimit active dots, built on the same O(1) delta-energy
+//     machinery (DeltaMoveEvaluator): single-dot occupancy moves and
+//     pair-swap moves evaluate in O(1) against maintained coupling sums, an
+//     accepted move costs O(n), and no per-trial vectors are copied. One
+//     fixed schedule: 3 restarts (the first from the all-zero state, the
+//     others from uniform random occupations) of 24 sweeps of n proposed
+//     moves, a quarter of them pair swaps, cooled geometrically by 0.85 per
+//     sweep from 0.8 x the largest charging energy. Each restart ends in an
+//     ICM polish, so the anneal never returns worse than plain greedy.
+//     Fully deterministic given FrontierOptions::seed — restart k draws from
+//     Rng(seed).split(k). A pair scan rests every other plunger at its base
+//     voltage, below its transition on the built arrays, so no extraction
+//     workload reaches this search; `csd_tool --frontier-probe` does.
 //
 // GroundStateSolver is the production dispatch, used by ground_state() and
-// by every DeviceSimulator probe (L = ChargeSolverOptions::
-// exhaustive_dot_limit):
+// by every DeviceSimulator probe (L = kExhaustiveDotLimit):
 //
 //   n <= L dots — IncrementalGroundStateSolver (branch-and-bound) on the
 //     whole model, warm-startable.
@@ -79,8 +77,8 @@
 //     needs solving:
 //       |A| <= L — branch-and-bound over A alone (bound onto the gathered
 //         charging/mutual/drive entries of A; no model copy), exact;
-//       |A| >  L — the configured frontier strategy on the whole model,
-//         exactly as ground_state_frontier() runs it.
+//       |A| >  L — the anneal on the whole model, exactly as
+//         ground_state_frontier() runs it.
 //     Either way the result is a pure function of the drives (no warm
 //     start), so every probe schedule makes identical per-probe decisions.
 //
@@ -96,59 +94,34 @@
 
 namespace qvg {
 
-/// Ground-state search strategy for more than ChargeSolverOptions::
-/// exhaustive_dot_limit active dots, where exact enumeration is
-/// combinatorially out.
+/// Solve exactly (branch-and-bound) up to this many dots — all of them, or
+/// above this size the active dots of the dominance pre-pass — and anneal
+/// only when more active dots remain.
+inline constexpr std::size_t kExhaustiveDotLimit = 7;
+
+/// The ground-state search for more than kExhaustiveDotLimit active dots.
 enum class FrontierStrategy {
-  /// Simulated annealing on O(1) delta-energy moves (production default).
+  /// Simulated annealing on O(1) delta-energy moves.
   kAnneal,
-  /// Tabu search: steepest single-dot/pair-swap descent with a recency tabu
-  /// list and aspiration.
-  kTabu,
-  /// Multi-start ICM (ground_state_greedy_multistart). The PR 2 baseline,
-  /// kept as the ablation reference.
-  kMultistartGreedy,
 };
 
-/// Tuning for the stochastic frontier solvers. Every run is a pure function
-/// of (model, drives, these options): all randomness flows from `seed`
-/// through per-restart split streams, so re-running a request (job-level
-/// retries, fault-injection reruns) reproduces bit-identically.
+/// The anneal's seed. Every run is a pure function of (model, drives, seed):
+/// all randomness flows from `seed` through per-restart split streams, so
+/// re-running a request (job-level retries, fault-injection reruns)
+/// reproduces bit-identically.
 struct FrontierOptions {
+  /// Read by nothing in src/; kept so perfbench builds unedited. ROADMAP
+  /// item 4's benchmark PR deletes it.
   FrontierStrategy strategy = FrontierStrategy::kAnneal;
   /// Base seed. Restart k uses the independent stream Rng(seed).split(k);
   /// callers that serve requests derive this from the request seed (see
   /// DeviceSimulator) so retries replay the exact same search.
   std::uint64_t seed = 0x9d075eedULL;
-  /// Independent restarts (anneal and tabu) / ICM multistarts. Restart 0
-  /// starts from the all-zero state (tabu: its greedy fixed point); later
-  /// restarts start from a uniform random occupation.
-  int restarts = 3;
-  /// Annealing: sweeps per restart (one sweep proposes n moves), with
-  /// temperature cooled geometrically per sweep.
-  int sweeps = 24;
-  /// Annealing: T0 = initial_temperature_scale * max charging energy.
-  double initial_temperature_scale = 0.8;
-  /// Annealing: geometric cooling factor applied after each sweep.
-  double cooling = 0.85;
-  /// Annealing: probability a proposed move is a pair swap (needs n >= 2).
-  double swap_probability = 0.25;
-  /// Tabu: iterations per restart = tabu_iterations_per_dot * n. Each
-  /// iteration scans the full single-dot + pair-swap neighbourhood.
-  int tabu_iterations_per_dot = 12;
-  /// Tabu: how long a reverted attribute (dot, previous occupancy) stays
-  /// forbidden. 0 = auto (n / 2 + 2).
-  int tabu_tenure = 0;
 };
 
 struct ChargeSolverOptions {
   int max_electrons_per_dot = 4;
-  /// Solve exactly (branch-and-bound) up to this many dots — all of them, or
-  /// above this size the active dots of the dominance pre-pass — and run
-  /// the frontier strategy only when more active dots remain. The
-  /// branch-and-bound solver keeps exact enumeration tractable at this size.
-  std::size_t exhaustive_dot_limit = 7;
-  /// Strategy and tuning for more than exhaustive_dot_limit active dots.
+  /// The anneal's seed for more than kExhaustiveDotLimit active dots.
   FrontierOptions frontier;
 };
 
@@ -172,7 +145,7 @@ void active_dots(const CapacitanceModel& model,
 
 /// Iterated conditional modes on flat delta-energy updates: repeatedly relax
 /// one dot at a time until a fixed point. Exact for diagonal-dominant
-/// couplings in practice; used for arrays too large to enumerate.
+/// couplings in practice. A test oracle: the anneal never returns worse.
 [[nodiscard]] std::vector<int> ground_state_greedy(
     const CapacitanceModel& model, const std::vector<double>& drives,
     int max_electrons_per_dot);
@@ -182,26 +155,6 @@ void active_dots(const CapacitanceModel& model,
 [[nodiscard]] std::vector<int> ground_state_greedy_reference(
     const CapacitanceModel& model, const std::vector<double>& drives,
     int max_electrons_per_dot);
-
-/// ICM relaxation from a caller-provided starting occupation (same sweep
-/// order and tie-breaking as ground_state_greedy, which is the special case
-/// start = all zeros). The building block of multistart/anneal/tabu polish.
-[[nodiscard]] std::vector<int> ground_state_greedy_from(
-    const CapacitanceModel& model, const std::vector<double>& drives,
-    int max_electrons_per_dot, std::vector<int> start);
-
-/// Multi-start ICM: restart 0 relaxes from the all-zero state (identical to
-/// ground_state_greedy); restart k >= 1 relaxes from a deterministic random
-/// occupation drawn from the independent stream Rng(seed).split(k) — the
-/// stream depends only on k, never on the restart count, so multistart(R+j)
-/// evaluates exactly multistart(R)'s starting states plus j new ones (a
-/// strict prefix-superset; adding restarts can only improve the result).
-/// Returns the lowest-energy fixed point (earliest restart wins exact ties),
-/// which recovers the exact ground state far more often than a single ICM
-/// run on frustrated large arrays.
-[[nodiscard]] std::vector<int> ground_state_greedy_multistart(
-    const CapacitanceModel& model, const std::vector<double>& drives,
-    int max_electrons_per_dot, int restarts, std::uint64_t seed = 0x1c3ULL);
 
 /// How IncrementalGroundStateSolver::solve walks the m^n state tree.
 enum class ExhaustiveStrategy {
@@ -213,8 +166,8 @@ enum class ExhaustiveStrategy {
   kBranchAndBound,
 };
 
-/// Counters from the most recent solve call (exhaustive or stochastic; each
-/// solver family fills its own fields and zeroes the rest).
+/// Counters from the most recent solve call (exhaustive or anneal; each
+/// solver fills its own fields and zeroes the rest).
 struct SolveStats {
   /// States whose energy was actually evaluated (m^n for full enumeration).
   std::uint64_t states_visited = 0;
@@ -223,16 +176,15 @@ struct SolveStats {
   std::uint64_t subtrees_pruned = 0;
   /// States contained in the pruned subtrees (never evaluated).
   std::uint64_t states_pruned = 0;
-  /// Stochastic frontier solvers: delta-energy move evaluations performed.
+  /// Anneal: delta-energy move evaluations performed.
   std::uint64_t moves_evaluated = 0;
-  /// Stochastic frontier solvers: moves actually applied.
+  /// Anneal: moves actually applied.
   std::uint64_t moves_accepted = 0;
-  /// Stochastic frontier solvers / multistart: restarts executed.
+  /// Anneal: restarts executed.
   std::uint64_t restarts = 0;
 };
 
-/// O(1) delta-energy move machinery shared by the stochastic frontier
-/// solvers, exposed so its invariants can be property-tested. Bind to a
+/// O(1) delta-energy move machinery of the anneal, exposed so its invariants can be property-tested. Bind to a
 /// model, set a state, then: delta_single / delta_swap evaluate a move in
 /// O(1) against maintained per-dot coupling sums; apply_single / apply_swap
 /// commit it in O(n) (SIMD coupling update, bit-identical to scalar) and
@@ -279,11 +231,10 @@ class DeltaMoveEvaluator {
   double energy_ = 0.0;
 };
 
-/// Allocation-free stochastic ground-state solver (annealing / tabu /
-/// multistart dispatch on FrontierOptions::strategy). Bind once, call
+/// Allocation-free simulated-annealing ground-state solver. Bind once, call
 /// solve() per pixel; the returned reference stays valid until the next
 /// solve()/bind(). Deterministic: a pure function of (model, drives,
-/// max_electrons_per_dot, options). Not thread-safe: one per thread.
+/// max_electrons_per_dot, options.seed). Not thread-safe: one per thread.
 class StochasticGroundStateSolver {
  public:
   void bind(const CapacitanceModel& model);
@@ -297,10 +248,6 @@ class StochasticGroundStateSolver {
   [[nodiscard]] const SolveStats& last_stats() const noexcept { return stats_; }
 
  private:
-  void solve_anneal(const std::vector<double>& drives,
-                    int max_electrons_per_dot, const FrontierOptions& options);
-  void solve_tabu(const std::vector<double>& drives, int max_electrons_per_dot,
-                  const FrontierOptions& options);
   /// ICM-polish `state` in place, then fold it into best_ (full-recompute
   /// energy comparison; earlier restarts win exact ties).
   void offer_polished(std::vector<int>& state,
@@ -315,29 +262,13 @@ class StochasticGroundStateSolver {
   std::vector<int> start_;
   std::vector<int> local_best_;
   std::vector<double> polish_coupling_;
-  /// Tabu recency list: tabu_until_[d * m + c] = first iteration at which
-  /// returning dot d to occupancy c is allowed again.
-  std::vector<std::uint64_t> tabu_until_;
   SolveStats stats_;
 };
 
-/// Simulated annealing on O(1) delta-energy moves (see FrontierOptions for
-/// the schedule). Convenience wrapper over StochasticGroundStateSolver.
-[[nodiscard]] std::vector<int> ground_state_anneal(
-    const CapacitanceModel& model, const std::vector<double>& drives,
-    int max_electrons_per_dot, const FrontierOptions& options = {},
-    SolveStats* stats = nullptr);
-
-/// Tabu search (recency list + best-so-far aspiration). Convenience wrapper
-/// over StochasticGroundStateSolver.
-[[nodiscard]] std::vector<int> ground_state_tabu(
-    const CapacitanceModel& model, const std::vector<double>& drives,
-    int max_electrons_per_dot, const FrontierOptions& options = {},
-    SolveStats* stats = nullptr);
-
-/// Dispatch on options.strategy (anneal / tabu / multistart) over the whole
-/// model. GroundStateSolver runs this when more than exhaustive_dot_limit
-/// dots are active.
+/// Simulated annealing over the whole model (the schedule is in the header
+/// comment). GroundStateSolver runs this when more than
+/// kExhaustiveDotLimit dots are active. Convenience wrapper over
+/// StochasticGroundStateSolver.
 [[nodiscard]] std::vector<int> ground_state_frontier(
     const CapacitanceModel& model, const std::vector<double>& drives,
     int max_electrons_per_dot, const FrontierOptions& options = {},
@@ -451,7 +382,7 @@ class GroundStateSolver {
 
   /// Ground-state occupation (full length) for the given per-dot drives.
   /// `warm_start` is used only when the whole model is solved exactly
-  /// (num_dots() <= options.exhaustive_dot_limit); see
+  /// (num_dots() <= kExhaustiveDotLimit); see
   /// IncrementalGroundStateSolver::solve.
   const std::vector<int>& solve(const std::vector<double>& drives,
                                 const ChargeSolverOptions& options,
@@ -460,8 +391,6 @@ class GroundStateSolver {
  private:
   const CapacitanceModel* model_ = nullptr;
   IncrementalGroundStateSolver exact_;
-  /// exact_ holds the whole model (not an active-set sub-problem).
-  bool exact_bound_to_model_ = false;
   StochasticGroundStateSolver frontier_;
   std::vector<std::size_t> active_;
   std::vector<double> active_drives_;

@@ -93,8 +93,7 @@ double DeviceSimulator::ideal_current_naive(double v1, double v2) const {
   v[pair_.gate_y] = v2;
   const auto drives = model_.dot_drives(v);
   const int max_electrons = solver_options_.max_electrons_per_dot;
-  const std::size_t limit = solver_options_.exhaustive_dot_limit;
-  if (model_.num_dots() <= limit)
+  if (model_.num_dots() <= kExhaustiveDotLimit)
     return sensor_.current(
         v, ground_state_exhaustive(model_, drives, max_electrons));
 
@@ -102,7 +101,7 @@ double DeviceSimulator::ideal_current_naive(double v1, double v2) const {
   // enumeration over a restricted CapacitanceModel as the exact solver.
   std::vector<std::size_t> active;
   active_dots(model_, drives, active);
-  if (active.size() > limit)
+  if (active.size() > kExhaustiveDotLimit)
     return sensor_.current(
         v, ground_state_frontier(model_, drives, max_electrons,
                                  solver_options_.frontier));

@@ -115,14 +115,14 @@ class DeviceSimulator final : public CurrentSource {
 
   /// Charge-solver configuration. The constructor derives
   /// frontier.seed deterministically from the noise seed (the request
-  /// seed), so every stochastic ground-state search above the exhaustive
-  /// dot limit is a pure function of the request — job-level retries and
-  /// fault-injection reruns replay it bit-identically.
+  /// seed), so every anneal above kExhaustiveDotLimit active dots is a pure
+  /// function of the request — job-level retries and fault-injection reruns
+  /// replay it bit-identically.
   [[nodiscard]] const ChargeSolverOptions& solver_options() const noexcept {
     return solver_options_;
   }
-  /// Override the solver configuration (e.g. frontier strategy). Resets the
-  /// probe scratch's warm state.
+  /// Override the solver configuration (occupancy cap, anneal seed). Resets
+  /// the probe scratch's warm state.
   void set_solver_options(const ChargeSolverOptions& options);
 
   /// Reset clock, probe counter, noise state, and noise RNG (deterministic
@@ -131,11 +131,11 @@ class DeviceSimulator final : public CurrentSource {
 
  private:
   /// Per-thread scratch for the allocation-free probe path. One
-  /// GroundStateSolver serves every device size: up to exhaustive_dot_limit
+  /// GroundStateSolver serves every device size: up to kExhaustiveDotLimit
   /// dots it solves the whole model exactly, warm-started from `warm` (the
   /// previous probe); above it, the dominance pre-pass solves the active
-  /// dots exactly, or runs the frontier search when more than the limit are
-  /// active, and ignores `warm` (the result is a function of the probe).
+  /// dots exactly, or anneals when more than the limit are active, and
+  /// ignores `warm` (the result is a function of the probe).
   struct ProbeScratch {
     std::vector<double> voltages;
     std::vector<double> drives;

@@ -10,9 +10,6 @@
 
 namespace qvg {
 
-// KEEP IN SYNC with ExtractionEngine::run_array's request builder
-// (service/extraction_engine.cpp), which mirrors this construction as a
-// DeviceBackend; the engine==direct equivalence test relies on it.
 PairExtraction extract_array_pair(const BuiltDevice& device,
                                   const ArrayExtractionOptions& opt,
                                   std::size_t pair_index,
@@ -28,14 +25,6 @@ PairExtraction extract_array_pair(const BuiltDevice& device,
 
   DeviceSimulator sim = make_pair_simulator(
       device, pair_index, opt.noise_seed + pair_index, opt.dwell_seconds);
-  {
-    // Frontier strategy only; the simulator keeps its own seed, derived from
-    // noise_seed + pair_index, so the stochastic search replays with the
-    // request.
-    ChargeSolverOptions solver = sim.solver_options();
-    solver.frontier.strategy = opt.frontier;
-    sim.set_solver_options(solver);
-  }
   if (opt.white_noise_sigma > 0.0)
     sim.add_noise(std::make_unique<WhiteNoise>(opt.white_noise_sigma));
   const VoltageAxis axis = scan_axis(device, opt.pixels_per_axis);

@@ -41,8 +41,8 @@ struct ArrayExtractionOptions {
   /// Pair outputs never depend on the shard plan; only the per-shard stats
   /// grouping does. Bit-identical to the serial walk for every shard count.
   std::size_t shards = 0;
-  /// Ground-state search strategy each pair's simulator runs on probes with
-  /// more than exhaustive_dot_limit active dots (see GroundStateSolver).
+  /// Read by nothing in src/; kept so perfbench builds unedited. ROADMAP
+  /// item 4's benchmark PR deletes it.
   FrontierStrategy frontier = FrontierStrategy::kAnneal;
   FastExtractorOptions fast;
   HoughBaselineOptions baseline;

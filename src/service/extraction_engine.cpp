@@ -1,6 +1,5 @@
 #include "service/extraction_engine.hpp"
 
-#include "common/assert.hpp"
 #include "common/stopwatch.hpp"
 #include "common/thread_pool.hpp"
 #include "device/noise.hpp"
@@ -44,11 +43,6 @@ DeviceSimulator make_backend_simulator(const DeviceBackend& backend) {
   DeviceSimulator sim =
       make_pair_simulator(*backend.device, backend.pair_index,
                           backend.noise_seed, backend.dwell_seconds);
-  {
-    ChargeSolverOptions solver = sim.solver_options();
-    solver.frontier.strategy = backend.frontier;
-    sim.set_solver_options(solver);
-  }
   if (backend.white_noise_sigma > 0.0)
     sim.add_noise(std::make_unique<WhiteNoise>(backend.white_noise_sigma));
   if (backend.pink_noise_sigma > 0.0)
@@ -247,57 +241,7 @@ std::vector<ExtractionReport> ExtractionEngine::run_batch(
 
 ArrayExtractionResult ExtractionEngine::run_array(
     const BuiltDevice& device, const ArrayExtractionOptions& opt) const {
-  const std::size_t n = device.model.num_dots();
-  QVG_EXPECTS(n >= 2);
-  QVG_EXPECTS(opt.pixels_per_axis >= 16);
-
-  // One request per nearest-neighbour pair, mirroring extract_array_pair's
-  // per-pair simulator construction exactly (seed derived from the pair
-  // index, white-noise tier, square window). KEEP IN SYNC with
-  // extract_array_pair (extraction/array_extractor.cpp): any new
-  // ArrayExtractionOptions field consumed there must be mapped into the
-  // request here, or the engine==direct bit-identity breaks.
-  std::vector<ExtractionRequest> requests(n - 1);
-  for (std::size_t pair_index = 0; pair_index + 1 < n; ++pair_index) {
-    ExtractionRequest& request = requests[pair_index];
-    request.method = opt.method;
-    request.device.device = &device;
-    request.device.pair_index = pair_index;
-    request.device.noise_seed = opt.noise_seed + pair_index;
-    request.device.dwell_seconds = opt.dwell_seconds;
-    request.device.pixels_per_axis = opt.pixels_per_axis;
-    request.device.white_noise_sigma = opt.white_noise_sigma;
-    request.device.frontier = opt.frontier;
-    request.fast = opt.fast;
-    request.hough = opt.baseline;
-    request.verdict = opt.verdict;
-    request.label = "pair-" + std::to_string(pair_index);
-  }
-
-  // Execute the same shard plan the direct walk runs: shards fan out, each
-  // shard serves its requests serially. Reports are schedule-independent, so
-  // this stays bit-identical to run_batch — but the scheduling (and the
-  // composed per-shard stats) now match extract_array_virtualization.
-  const auto plan = plan_array_shards(requests.size(), opt.shards);
-  std::vector<ExtractionReport> reports(requests.size());
-  auto run_shards = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t s = lo; s < hi; ++s)
-      for (const std::size_t idx : plan[s]) reports[idx] = run(requests[idx]);
-  };
-  if (opt.parallel)
-    parallel_for_rows(plan.size(), run_shards, 1);
-  else
-    run_shards(0, plan.size());
-
-  std::vector<PairExtraction> pairs(reports.size());
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    pairs[i].pair_index = i;
-    pairs[i].status = reports[i].status;
-    pairs[i].gates = reports[i].virtual_gates;
-    pairs[i].verdict = reports[i].verdict;
-    pairs[i].stats = reports[i].stats;
-  }
-  return compose_array_result(device, std::move(pairs), opt.shards);
+  return extract_array_virtualization(device, opt);
 }
 
 }  // namespace qvg

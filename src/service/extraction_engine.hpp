@@ -64,9 +64,8 @@ struct DeviceBackend {
   double pink_noise_sigma = 0.0;        // octave ladder tau 0.2 .. 30 s
   double telegraph_amplitude = 0.0;
   double telegraph_rate_hz = 0.5;
-  /// Ground-state search strategy for probes with more than the exhaustive
-  /// dot limit of active dots (the simulator derives the stochastic seed
-  /// from noise_seed, so the request stays a pure description of the run).
+  /// Read by nothing in src/; kept so perfbench builds unedited. ROADMAP
+  /// item 4's benchmark PR deletes it.
   FrontierStrategy frontier = FrontierStrategy::kAnneal;
 };
 
@@ -187,10 +186,9 @@ class ExtractionEngine {
   [[nodiscard]] std::vector<ExtractionReport> run_batch(
       std::span<const ExtractionRequest> requests) const;
 
-  /// The paper's n-dot array walk (§2.3) as an engine batch: one device-
-  /// backend request per nearest-neighbour pair, fanned out per
-  /// options.parallel, composed in pair order. Bit-identical to
-  /// extract_array_virtualization.
+  /// The paper's n-dot array walk (§2.3). Returns
+  /// extract_array_virtualization(device, options): one sharded pair walk
+  /// serves the engine and direct callers alike.
   [[nodiscard]] ArrayExtractionResult run_array(
       const BuiltDevice& device,
       const ArrayExtractionOptions& options = {}) const;

@@ -268,9 +268,6 @@ Result<MaterializedRequest> materialize(const WireRequest& wire) {
         return invalid("device charging_energy must be > 0");
       if (wire.device.pixels_per_axis > kMaxAxisPoints)
         return invalid("device pixels_per_axis above the service bound 4096");
-      if (wire.device.frontier >
-          static_cast<std::uint64_t>(FrontierStrategy::kMultistartGreedy))
-        return invalid("device frontier strategy out of range");
       if (wire.device.has_jitter) {
         Rng jitter_rng(wire.device.jitter_seed);
         m.device = std::make_unique<BuiltDevice>(build_dot_array(p, &jitter_rng));
@@ -288,7 +285,6 @@ Result<MaterializedRequest> materialize(const WireRequest& wire) {
       d.pink_noise_sigma = wire.device.pink_noise_sigma;
       d.telegraph_amplitude = wire.device.telegraph_amplitude;
       d.telegraph_rate_hz = wire.device.telegraph_rate_hz;
-      d.frontier = static_cast<FrontierStrategy>(wire.device.frontier);
       break;
     }
     case WireBackendKind::kPlayback: {

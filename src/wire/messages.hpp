@@ -60,10 +60,6 @@ struct WireDeviceBackend {
   double pink_noise_sigma = 0.0;
   double telegraph_amplitude = 0.0;
   double telegraph_rate_hz = 0.5;
-  /// Ground-state search above the exhaustive dot limit, as
-  /// FrontierStrategy's integer value (0 anneal, 1 tabu, 2 multistart
-  /// greedy). Absent on the wire = 0: old clients get the new default.
-  std::uint64_t frontier = 0;
 
   friend bool operator==(const WireDeviceBackend&,
                          const WireDeviceBackend&) = default;

@@ -1,7 +1,8 @@
 // The wire schema: one constexpr field table per message, walked by the
 // binary codec (messages.cpp, over WireWriter/WireReader) and the JSON codec
 // (json.cpp, over JsonValue). Neither lane spells out a message's fields:
-// adding a field, or reserving one, is one row.
+// adding a field is one row of kFields, and reserving a deleted one is one
+// row of kReserved.
 //
 // A row holds the binary tag, the JSON key and an accessor (a member pointer,
 // or a small lambda for a nested field). Its kind is the field's C++ type:
@@ -72,9 +73,6 @@ constexpr Row<Get, When> field_when(std::uint8_t tag, std::string_view key,
 inline constexpr std::string_view kMethodNames[] = {"fast", "hough_baseline"};
 inline constexpr std::string_view kBackendNames[] = {"none", "device",
                                                      "playback"};
-/// FrontierStrategy by value: anneal, tabu, multistart greedy.
-inline constexpr std::string_view kFrontierNames[] = {"anneal", "tabu",
-                                                      "greedy"};
 /// error_code_name() of every ErrorCode, by value.
 extern const std::array<std::string_view,
                         static_cast<std::size_t>(ErrorCode::kInternal) + 1>
@@ -117,6 +115,18 @@ struct StatusFields {
 /// The field table of T; types without one are not messages.
 template <typename T>
 inline constexpr std::nullptr_t kFields = nullptr;
+
+/// A deleted field of a message, reserved: no row may reuse its tag or key,
+/// so an old client's value is skipped as unknown, never read as a newer
+/// field.
+struct Reserved {
+  std::uint8_t tag;
+  std::string_view key;
+};
+
+/// The reserved fields of T.
+template <typename T>
+inline constexpr std::array<Reserved, 0> kReserved{};
 
 template <>
 inline constexpr auto kFields<AxisFields> = std::tuple{
@@ -188,8 +198,13 @@ inline constexpr auto kFields<WireDeviceBackend> = std::tuple{
     field(9, "pink_noise_sigma", &WireDeviceBackend::pink_noise_sigma),
     field(10, "telegraph_amplitude", &WireDeviceBackend::telegraph_amplitude),
     field(11, "telegraph_rate_hz", &WireDeviceBackend::telegraph_rate_hz),
-    named(12, "frontier", &WireDeviceBackend::frontier, kFrontierNames),
 };
+/// Tag 12 / "frontier" chose among deleted ground-state searches (0
+/// "anneal", 1 "tabu", 2 "greedy"). Old clients still send it; both lanes
+/// skip it as unknown.
+template <>
+inline constexpr std::array kReserved<WireDeviceBackend> = {
+    Reserved{12, "frontier"}};
 
 template <>
 inline constexpr auto kFields<WirePlaybackBackend> = std::tuple{
@@ -364,10 +379,22 @@ constexpr void for_each_row(Fn&& fn) {
       kFields<T>);
 }
 
+/// Whether every row of T's table keeps clear of T's reserved tags and keys.
+template <Tabled T>
+constexpr bool clear_of_reserved() {
+  bool clear = true;
+  for_each_row<T>([&](const auto& row, std::size_t) {
+    for (const Reserved& reserved : kReserved<T>)
+      clear = clear && row.tag != reserved.tag && row.key != reserved.key;
+  });
+  return clear;
+}
+
 /// Row index of each binary tag in T's table; kRowCount<T> for a tag no row
 /// claims.
 template <Tabled T>
 inline constexpr auto kRowOfTag = [] {
+  static_assert(clear_of_reserved<T>(), "a row reuses a reserved tag or key");
   std::array<std::uint8_t, 256> rows{};
   rows.fill(static_cast<std::uint8_t>(kRowCount<T>));
   for_each_row<T>([&](const auto& row, std::size_t i) {

@@ -70,10 +70,11 @@ TEST(GroundStateTest, ExhaustiveAndGreedyAgree) {
   }
 }
 
-TEST(GroundStateTest, LargeArrayUsesGreedySolver) {
+TEST(GroundStateTest, EightDotsAboveTheExhaustiveLimitStayInRange) {
+  // 8 dots > kExhaustiveDotLimit: the dominance pre-pass, then an exact
+  // solve over the active dots or the anneal.
   const auto model = simple_model(8);
-  ChargeSolverOptions opt;
-  opt.exhaustive_dot_limit = 5;  // 8 dots -> greedy path
+  const ChargeSolverOptions opt;
   const std::vector<double> voltages(8, 0.04);
   const auto n = ground_state(model, voltages, opt);
   EXPECT_EQ(n.size(), 8u);

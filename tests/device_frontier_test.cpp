@@ -1,12 +1,10 @@
-// The stochastic solver frontier (PR 9): the O(1) delta-energy move
-// machinery must agree with full energy recomputes (the property the whole
-// search rests on), annealing and tabu must recover the exact
-// branch-and-bound ground state on nearly all enumerable models, every run
-// must be a pure function of its seed (so job retries replay
-// bit-identically), and multistart restarts must form a prefix-superset
-// (stream-per-restart, independent of the restart count). In front of the
-// frontier, the dominance pre-pass must solve the active dots exactly and
-// hand a model with more than 7 active dots to the frontier unchanged.
+// The solver frontier: the O(1) delta-energy move machinery must agree with
+// full energy recomputes (the property the whole search rests on), the
+// anneal must recover the exact branch-and-bound ground state on nearly all
+// enumerable models, and every run must be a pure function of its seed (so
+// job retries replay bit-identically). In front of the frontier, the
+// dominance pre-pass must solve the active dots exactly and hand a model
+// with more than 7 active dots to the anneal unchanged.
 #include "common/random.hpp"
 #include "device/charge_state.hpp"
 #include "device/dot_array.hpp"
@@ -146,7 +144,7 @@ TEST(DeltaMoveEvaluatorTest, RunningEnergyTracksFullRecomputeAcrossMoves) {
 // ---------------------------------------------------------------------------
 // Tentpole: exactness against branch-and-bound ground truth at <= 7 dots.
 
-double exact_recovery_fraction(FrontierStrategy strategy) {
+double exact_recovery_fraction() {
   Rng rng(4242);
   int exact = 0, total = 0;
   for (std::size_t n : {5u, 6u, 7u}) {
@@ -154,9 +152,7 @@ double exact_recovery_fraction(FrontierStrategy strategy) {
       const auto model = random_model(n, rng);
       const auto drives = random_drives(model, rng);
       const auto reference = ground_state_exhaustive(model, drives, 4);
-      FrontierOptions options;
-      options.strategy = strategy;
-      const auto found = ground_state_frontier(model, drives, 4, options);
+      const auto found = ground_state_frontier(model, drives, 4);
       // Exact recovery = same minimal energy (degenerate ties may pick a
       // different member of the tied set; both are ground states).
       if (model.energy(found, drives) <=
@@ -169,16 +165,12 @@ double exact_recovery_fraction(FrontierStrategy strategy) {
 }
 
 TEST(FrontierExactnessTest, AnnealRecoversExhaustiveGroundState) {
-  EXPECT_GE(exact_recovery_fraction(FrontierStrategy::kAnneal), 0.95);
-}
-
-TEST(FrontierExactnessTest, TabuRecoversExhaustiveGroundState) {
-  EXPECT_GE(exact_recovery_fraction(FrontierStrategy::kTabu), 0.95);
+  EXPECT_GE(exact_recovery_fraction(), 0.95);
 }
 
 TEST(FrontierExactnessTest, FrontierNeverWorseThanPlainGreedy) {
   // Each restart ends in an ICM polish and restart 0 starts from zeros, so
-  // neither strategy can return a higher-energy state than plain greedy.
+  // the anneal cannot return a higher-energy state than plain greedy.
   Rng rng(515);
   for (std::size_t n : {8u, 12u, 16u}) {
     for (int trial = 0; trial < 6; ++trial) {
@@ -186,14 +178,7 @@ TEST(FrontierExactnessTest, FrontierNeverWorseThanPlainGreedy) {
       const auto drives = random_drives(model, rng);
       const double greedy =
           model.energy(ground_state_greedy(model, drives, 4), drives);
-      FrontierOptions options;
-      options.strategy = FrontierStrategy::kAnneal;
-      EXPECT_LE(model.energy(ground_state_frontier(model, drives, 4, options),
-                             drives),
-                greedy + 1e-15);
-      options.strategy = FrontierStrategy::kTabu;
-      EXPECT_LE(model.energy(ground_state_frontier(model, drives, 4, options),
-                             drives),
+      EXPECT_LE(model.energy(ground_state_frontier(model, drives, 4), drives),
                 greedy + 1e-15);
     }
   }
@@ -203,12 +188,11 @@ TEST(FrontierExactnessTest, FrontierNeverWorseThanPlainGreedy) {
 // Determinism: same seed, same occupation, same SolveStats (the CI smoke's
 // in-process equivalent, at 12 dots).
 
-void expect_same_run(FrontierStrategy strategy) {
+TEST(FrontierDeterminismTest, AnnealSameSeedIsBitIdentical) {
   Rng rng(777);
   const auto model = random_model(12, rng);
   const auto drives = random_drives(model, rng);
-  FrontierOptions options;
-  options.strategy = strategy;
+  const FrontierOptions options;
   SolveStats first_stats, second_stats;
   const auto first = ground_state_frontier(model, drives, 4, options,
                                            &first_stats);
@@ -220,14 +204,6 @@ void expect_same_run(FrontierStrategy strategy) {
   EXPECT_EQ(first_stats.restarts, second_stats.restarts);
   EXPECT_GT(first_stats.moves_evaluated, 0u);
   EXPECT_GT(first_stats.restarts, 0u);
-}
-
-TEST(FrontierDeterminismTest, AnnealSameSeedIsBitIdentical) {
-  expect_same_run(FrontierStrategy::kAnneal);
-}
-
-TEST(FrontierDeterminismTest, TabuSameSeedIsBitIdentical) {
-  expect_same_run(FrontierStrategy::kTabu);
 }
 
 // Pins of the annealing walk itself: the accept/reject decisions and RNG
@@ -263,7 +239,7 @@ TEST(FrontierDeterminismTest, AnnealWalksOnRandomModelsMatchPin) {
     FrontierOptions options;
     options.seed = static_cast<std::uint64_t>(trial) + 1;
     SolveStats stats;
-    for (const int c : ground_state_anneal(model, drives, 4, options, &stats))
+    for (const int c : ground_state_frontier(model, drives, 4, options, &stats))
       hash = (hash ^ static_cast<std::uint64_t>(c)) * 0x100000001b3ULL;
     evaluated += stats.moves_evaluated;
     accepted += stats.moves_accepted;
@@ -285,65 +261,15 @@ TEST(FrontierDeterminismTest, DifferentSeedsSearchDifferently) {
     FrontierOptions a, b;
     b.seed = a.seed + 1;
     SolveStats sa, sb;
-    (void)ground_state_anneal(model, drives, 4, a, &sa);
-    (void)ground_state_anneal(model, drives, 4, b, &sb);
+    (void)ground_state_frontier(model, drives, 4, a, &sa);
+    (void)ground_state_frontier(model, drives, 4, b, &sb);
     diverged = sa.moves_accepted != sb.moves_accepted;
   }
   EXPECT_TRUE(diverged);
 }
 
 // ---------------------------------------------------------------------------
-// S6: multistart restarts are a prefix-superset (stream-per-restart).
-
-TEST(MultistartStreamTest, RestartStreamsAreIndependentOfRestartCount) {
-  // Reconstruct the documented schedule by hand: restart 0 is all zeros,
-  // restart k >= 1 draws from Rng(seed).split(k). The multistart result must
-  // equal the lowest-energy relaxation over exactly those starts (earliest
-  // restart wins ties), for every restart count — so multistart(8) evaluates
-  // a strict superset of multistart(4)'s starts.
-  Rng rng(1618);
-  const std::uint64_t seed = 0xabcdefULL;
-  for (int trial = 0; trial < 8; ++trial) {
-    const auto model = random_model(9, rng);
-    const auto drives = random_drives(model, rng);
-    for (int restarts : {1, 4, 8}) {
-      std::vector<int> best;
-      double best_energy = 0.0;
-      for (int k = 0; k < restarts; ++k) {
-        std::vector<int> start(9, 0);
-        if (k > 0) {
-          Rng stream = Rng(seed).split(static_cast<std::uint64_t>(k));
-          for (auto& c : start) c = static_cast<int>(stream.uniform_int(0, 4));
-        }
-        auto relaxed =
-            ground_state_greedy_from(model, drives, 4, std::move(start));
-        const double e = model.energy(relaxed, drives);
-        if (best.empty() || e < best_energy) {
-          best = std::move(relaxed);
-          best_energy = e;
-        }
-      }
-      ASSERT_EQ(ground_state_greedy_multistart(model, drives, 4, restarts,
-                                               seed),
-                best)
-          << "trial=" << trial << " restarts=" << restarts;
-    }
-  }
-}
-
-TEST(MultistartStreamTest, MoreRestartsNeverWorse) {
-  Rng rng(1619);
-  for (int trial = 0; trial < 10; ++trial) {
-    const auto model = random_model(10, rng);
-    const auto drives = random_drives(model, rng);
-    const auto four = ground_state_greedy_multistart(model, drives, 4, 4);
-    const auto eight = ground_state_greedy_multistart(model, drives, 4, 8);
-    EXPECT_LE(model.energy(eight, drives), model.energy(four, drives));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// The dominance pre-pass above exhaustive_dot_limit: a dot with
+// The dominance pre-pass above kExhaustiveDotLimit: a dot with
 // mu_i < Ec_i/2 is empty in every ground state, so GroundStateSolver solves
 // only the active dots exactly, and hands the whole model to the frontier
 // search when more than the limit are active.
@@ -422,7 +348,7 @@ TEST(DominancePrepassTest, ExactOverActiveDotsAndNeverAboveTheFrontier) {
     const auto frontier =
         ground_state_frontier(model, drives, 4, options.frontier);
     const auto active = dots_above_half_charging(model, drives);
-    if (active.size() <= options.exhaustive_dot_limit) {
+    if (active.size() <= kExhaustiveDotLimit) {
       ++exact_cases;
       EXPECT_EQ(got, compacted_oracle(model, drives, active))
           << "trial " << trial << ", " << active.size() << " active of " << n;
@@ -454,7 +380,7 @@ TEST(DominancePrepassTest, CompactedSolveMatchesWholeModelBranchAndBound) {
           rng.uniform(device.params.window_lo, device.params.window_hi);
     const auto drives = device.model.dot_drives(voltages);
     if (dots_above_half_charging(device.model, drives).size() >
-        options.exhaustive_dot_limit)
+        kExhaustiveDotLimit)
       continue;
     ++compacted;
     IncrementalGroundStateSolver whole(device.model);
@@ -465,28 +391,10 @@ TEST(DominancePrepassTest, CompactedSolveMatchesWholeModelBranchAndBound) {
   EXPECT_GE(compacted, 10);
 }
 
-TEST(DominancePrepassTest, SolverFollowsTheLimitOfEachCall) {
-  // One bound solver, alternating limits: 7 (pre-pass over 10 dots) and 10
-  // (the whole model, branch-and-bound).
-  const BuiltDevice device = jittered_array(10, 4242);
-  std::vector<double> voltages = device.base_voltages;
-  voltages[3] = voltages[4] = device.params.window_hi;
-  const auto drives = device.model.dot_drives(voltages);
-  IncrementalGroundStateSolver whole(device.model);
-  const std::vector<int> expected = whole.solve(drives, 4);
-  GroundStateSolver solver;
-  solver.bind(device.model);
-  ChargeSolverOptions options;
-  for (const std::size_t limit : {7u, 10u, 7u, 10u}) {
-    options.exhaustive_dot_limit = limit;
-    EXPECT_EQ(solver.solve(drives, options), expected) << "limit " << limit;
-  }
-}
-
 TEST(DominancePrepassTest, WindowCentreStillRunsTheFrontierBitForBit) {
   // `csd_tool --frontier-probe`: every plunger at the window centre puts all
   // dots above Ec_i/2, so the pre-pass must hand the whole model to the
-  // configured frontier search, unchanged.
+  // anneal, unchanged.
   for (std::size_t n = 8; n <= 16; ++n) {
     const BuiltDevice device = jittered_array(n, 900 + n);
     std::vector<double> voltages = device.base_voltages;
@@ -496,15 +404,10 @@ TEST(DominancePrepassTest, WindowCentreStillRunsTheFrontierBitForBit) {
     std::vector<std::size_t> active;
     active_dots(device.model, drives, active);
     ASSERT_GT(active.size(), 7u) << n << " dots";
-    for (const FrontierStrategy strategy :
-         {FrontierStrategy::kAnneal, FrontierStrategy::kTabu}) {
-      ChargeSolverOptions options;
-      options.frontier.strategy = strategy;
-      EXPECT_EQ(ground_state(device.model, voltages, options),
-                ground_state_frontier(device.model, drives, 4,
-                                      options.frontier))
-          << n << " dots";
-    }
+    const ChargeSolverOptions options;
+    EXPECT_EQ(ground_state(device.model, voltages, options),
+              ground_state_frontier(device.model, drives, 4, options.frontier))
+        << n << " dots";
   }
 }
 
@@ -535,34 +438,29 @@ TEST(FrontierSeedDerivationTest, RerunningAnEngineRequestIsBitIdentical) {
   // The retry contract: a job-level rerun rebuilds the simulator from the
   // request, and the frontier seed is a pure function of the request's
   // noise seed — so the served report (the wire-visible subset) must be
-  // bit-identical across runs, for every frontier strategy.
+  // bit-identical across runs.
   DotArrayParams params;
   params.n_dots = 10;
   const BuiltDevice device = build_dot_array(params);
   const ExtractionEngine engine;
-  for (const FrontierStrategy strategy :
-       {FrontierStrategy::kAnneal, FrontierStrategy::kTabu,
-        FrontierStrategy::kMultistartGreedy}) {
-    ExtractionRequest request;
-    request.device.device = &device;
-    request.device.pair_index = 5;
-    request.device.noise_seed = 1234;
-    request.device.pixels_per_axis = 24;
-    request.device.frontier = strategy;
-    const ExtractionReport first = engine.run(request);
-    const ExtractionReport second = engine.run(request);
-    // Everything except wall-clock timing must match exactly.
-    EXPECT_EQ(first.status, second.status);
-    EXPECT_EQ(first.virtual_gates.alpha12, second.virtual_gates.alpha12);
-    EXPECT_EQ(first.virtual_gates.alpha21, second.virtual_gates.alpha21);
-    EXPECT_EQ(first.slope_steep, second.slope_steep);
-    EXPECT_EQ(first.slope_shallow, second.slope_shallow);
-    EXPECT_EQ(first.stats.unique_probes, second.stats.unique_probes);
-    EXPECT_EQ(first.stats.total_requests, second.stats.total_requests);
-    EXPECT_EQ(first.stats.simulated_seconds, second.stats.simulated_seconds);
-    EXPECT_EQ(first.verdict.success, second.verdict.success);
-    EXPECT_EQ(first.verdict.alpha12_rel_error, second.verdict.alpha12_rel_error);
-  }
+  ExtractionRequest request;
+  request.device.device = &device;
+  request.device.pair_index = 5;
+  request.device.noise_seed = 1234;
+  request.device.pixels_per_axis = 24;
+  const ExtractionReport first = engine.run(request);
+  const ExtractionReport second = engine.run(request);
+  // Everything except wall-clock timing must match exactly.
+  EXPECT_EQ(first.status, second.status);
+  EXPECT_EQ(first.virtual_gates.alpha12, second.virtual_gates.alpha12);
+  EXPECT_EQ(first.virtual_gates.alpha21, second.virtual_gates.alpha21);
+  EXPECT_EQ(first.slope_steep, second.slope_steep);
+  EXPECT_EQ(first.slope_shallow, second.slope_shallow);
+  EXPECT_EQ(first.stats.unique_probes, second.stats.unique_probes);
+  EXPECT_EQ(first.stats.total_requests, second.stats.total_requests);
+  EXPECT_EQ(first.stats.simulated_seconds, second.stats.simulated_seconds);
+  EXPECT_EQ(first.verdict.success, second.verdict.success);
+  EXPECT_EQ(first.verdict.alpha12_rel_error, second.verdict.alpha12_rel_error);
 }
 
 }  // namespace

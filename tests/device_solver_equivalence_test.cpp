@@ -277,20 +277,6 @@ TEST(GreedyEquivalenceTest, DeltaIcmMatchesCopyBasedReference) {
   }
 }
 
-TEST(GreedyEquivalenceTest, MultistartExtendsPlainGreedy) {
-  Rng rng(2718);
-  for (int trial = 0; trial < 10; ++trial) {
-    const auto model = random_model(6, rng);
-    const auto drives = random_drives(model, rng);
-    const auto plain = ground_state_greedy(model, drives, 4);
-    // Restart 0 is the all-zero start: one restart IS plain greedy.
-    EXPECT_EQ(ground_state_greedy_multistart(model, drives, 4, 1), plain);
-    // More restarts can only improve the energy.
-    const auto multi = ground_state_greedy_multistart(model, drives, 4, 8);
-    EXPECT_LE(model.energy(multi, drives), model.energy(plain, drives));
-  }
-}
-
 TEST(RasterEquivalenceTest, FastMatchesNaiveBitIdentically) {
   const BuiltDevice device = build_dot_array(DotArrayParams{});
   const DeviceSimulator sim = make_pair_simulator(device);

@@ -143,8 +143,8 @@ TEST(ArrayExtractorTest, ParallelMatchesSerialBitIdentically) {
 }
 
 TEST(ArrayExtractorTest, SixDotArrayUsesBranchAndBoundTractably) {
-  // 6 dots sit above the old exhaustive_dot_limit of 5: the raised limit
-  // plus branch-and-bound keeps per-pixel solves exact at this size.
+  // 6 dots sit within kExhaustiveDotLimit: branch-and-bound keeps
+  // per-pixel solves of the whole model exact and tractable at this size.
   const BuiltDevice device = array_device(6, 21);
   ArrayExtractionOptions opt;
   opt.pixels_per_axis = 48;
@@ -226,27 +226,6 @@ TEST(ArrayShardTest, ShardedTenDotExtractionIsBitIdenticalToSerial) {
     for (const bool s : seen) EXPECT_TRUE(s);
     EXPECT_EQ(probes, sharded.total_stats.unique_probes);
   }
-}
-
-TEST(ArrayShardTest, FrontierStrategyOptionReachesThePairSolvers) {
-  // Each pair's simulator takes the strategy, but a pair scan rests every
-  // other plunger at its base voltage, so at most the two scanned dots are
-  // active and the dominance pre-pass solves every probe exactly: anneal
-  // and tabu walks must produce the same, self-consistent composition.
-  const BuiltDevice device = array_device(10, 34);
-  std::vector<ArrayExtractionResult> results;
-  for (const FrontierStrategy strategy :
-       {FrontierStrategy::kAnneal, FrontierStrategy::kTabu}) {
-    ArrayExtractionOptions opt;
-    opt.pixels_per_axis = 24;
-    opt.shards = 3;
-    opt.frontier = strategy;
-    results.push_back(extract_array_virtualization(device, opt));
-    ASSERT_EQ(results.back().pairs.size(), 9u);
-    for (const auto& pair : results.back().pairs)
-      EXPECT_GT(pair.stats.unique_probes, 0);
-  }
-  expect_identical_arrays(results[0], results[1]);
 }
 
 }  // namespace

@@ -52,8 +52,6 @@ WireRequest sample_device_request(std::uint64_t variant) {
             break;
     default: break;
   }
-  // Cycle the frontier strategy so round trips cover every enum value.
-  r.device.frontier = variant % 3;
   r.deadline_ms = 5000 + variant;
   r.budget.max_probes = 100000 + static_cast<long>(variant);
   r.budget.max_wall_seconds = 12.5;
@@ -201,7 +199,6 @@ WireRequest golden_device_request() {
   r.device.pink_noise_sigma = 0.0078125;
   r.device.telegraph_amplitude = 0.046875;
   r.device.telegraph_rate_hz = 1.25;
-  r.device.frontier = 2;
   r.x_axis = VoltageAxis(-0.5, 0.0078125, 40);
   r.y_axis = VoltageAxis(-0.25, 0.015625, 30);
   r.deadline_ms = 2500;
@@ -388,6 +385,31 @@ void expect_golden(const M& message, std::string_view hex,
 }
 
 constexpr std::string_view kGoldenDeviceHex =
+    "5751010101000100000000000000020001000000000000000303320100000103c800"
+    "0000010003000000000000000201000000000000c0bf0301000000000000d83f0401"
+    "000000000000b03f0501000000000000ec3f0601000000000000d43f070100000000"
+    "0000dc3f080100000000000004400901000000000000c83f0a01000000000000d63f"
+    "0b01000000000000da3f0c01000000000000e5bf0d01000000000000e73f0e010000"
+    "00000000a03f0f01000000000000e13f1001000000000000d23f1101000000000000"
+    "b83f1201000000000000f83f1301000000000000c43f1401000000000000a83f0200"
+    "01000000000000000300efbefecacefaedfe0400010000000000000005004d000000"
+    "000000000601000000000000a03f070040000000000000000801000000000000903f"
+    "0901000000000000803f0a01000000000000a83f0b01000000000000f43f05031e00"
+    "00000101000000000000e0bf0201000000000000803f030028000000000000000603"
+    "1e0000000101000000000000d0bf0201000000000000903f03001e00000000000000"
+    "0700c409000000000000080314000000010040e20100000000000201000000000000"
+    "1e4009038c0000000100efcdab89674523010201000000000000903f030003000000"
+    "000000000401000000000000503f0501000000000000603f06001100000000000000"
+    "0701000000000000803f0801000000000000d03f090100000000000040bf0a010000"
+    "00000000703f0b01000000000000603f0c0004000000000000000d01000000000000"
+    "303f0e0002000000000000000a033c00000001000600000000000000020100000000"
+    "0000903f0301000000000000f83f0401000000000000c03f05000500000000000000"
+    "060001000000000000000b0211000000676f6c64656e20226465766963652209010c"
+    "032800000001010000000000506f400201000000008084fe40030003000000000000"
+    "0004000100000000000000";
+/// golden_device_request() as a client sent it while the device backend
+/// still carried tag 12 / "frontier" (here 2, "greedy").
+constexpr std::string_view kGoldenFrontierClientHex =
     "57510101010001000000000000000200010000000000000003033c0100000103c800"
     "0000010003000000000000000201000000000000c0bf0301000000000000d83f0401"
     "000000000000b03f0501000000000000ec3f0601000000000000d43f070100000000"
@@ -411,6 +433,31 @@ constexpr std::string_view kGoldenDeviceHex =
     "6465766963652209010c032800000001010000000000506f400201000000008084fe"
     "400300030000000000000004000100000000000000";
 constexpr std::string_view kGoldenDeviceJson =
+    R"j({"v":1,"method":"hough_baseline","backend":"device","device":{"params")j"
+    R"j(:{"n_dots":3,"window_lo":-0.125,"window_hi":0.375,"base_voltage":0.062)j"
+    R"j(5,"alpha_self":0.875,"cross_ratio":0.3125,"cross_far_decay":0.4375,"ch)j"
+    R"j(arging_energy":2.5,"mutual_coupling":0.1875,"transition_fraction_x":0.)j"
+    R"j(34375,"transition_fraction_y":0.40625,"sensor_beta":-0.65625,"sensor_b)j"
+    R"j(eta_falloff":0.71875,"sensor_gamma":0.03125,"sensor_gamma_decay":0.531)j"
+    R"j(25,"peak_spacing":0.28125,"peak_width":0.09375,"peak_current":1.5,"fla)j"
+    R"j(nk_offset":0.15625,"jitter":0.046875},"has_jitter":true,"jitter_seed":)j"
+    R"j(18369614221190020847,"pair_index":1,"noise_seed":77,"dwell_seconds":0.)j"
+    R"j(03125,"pixels_per_axis":64,"white_noise_sigma":0.015625,"pink_noise_si)j"
+    R"j(gma":0.0078125,"telegraph_amplitude":0.046875,"telegraph_rate_hz":1.25)j"
+    R"j(},"x_axis":{"start":-0.5,"step":0.0078125,"count":40},"y_axis":{"start)j"
+    R"j(":-0.25,"step":0.015625,"count":30},"deadline_ms":2500,"budget":{"max_)j"
+    R"j(probes":123456,"max_wall_seconds":7.5},"faults":{"seed":81985529216486)j"
+    R"j(895,"transient_rate":0.015625,"transient_burst":3,"hard_fault_rate":0.)j"
+    R"j(0009765625,"stuck_rate":0.001953125,"stuck_probes":17,"latency_spike_r)j"
+    R"j(ate":0.0078125,"latency_spike_seconds":0.25,"drift_volts_per_second":-)j"
+    R"j(0.00048828125,"jump_probability":0.00390625,"jump_magnitude_volts":0.0)j"
+    R"j(01953125,"jump_at_batch":4,"drift_detect_threshold_volts":0.0002441406)j"
+    R"j(25,"drift_detect_lag_batches":2},"retry":{"max_attempts":6,"base_backo)j"
+    R"j(ff_seconds":0.015625,"backoff_multiplier":1.5,"jitter_fraction":0.125,)j"
+    R"j("jitter_seed":5,"wall_clock_backoff":true},"transport":{"latency_us":2)j"
+    R"j(50.5,"bandwidth":125000,"io_depth":3,"wall_clock":true},"label":"golde)j"
+    R"j(n \"device\"\t\u0001"})j";
+constexpr std::string_view kGoldenFrontierClientJson =
     R"j({"v":1,"method":"hough_baseline","backend":"device","device":{"param)j"
     R"j(s":{"n_dots":3,"window_lo":-0.125,"window_hi":0.375,"base_voltage":0)j"
     R"j(.0625,"alpha_self":0.875,"cross_ratio":0.3125,"cross_far_decay":0.43)j"
@@ -982,17 +1029,28 @@ TEST(WireGoldenTest, ProgressStatusAndFaultStatsEncodeToTheGoldens) {
 }
 
 TEST(WireGoldenTest, OldClientSubsetsDecodeToTheDefaults) {
-  // An old client sends no transport (request tag 12 / "transport") and no
-  // frontier (device tag 12 / "frontier"); both decode to the defaults.
+  // An old client sends no transport (request tag 12 / "transport"); it
+  // decodes to the default.
   WireRequest expected = golden_device_request();
   expected.transport = TransportOptions{};
-  expected.device.frontier = 0;
   Result<WireRequest> binary = decode_request(from_hex(kGoldenOldClientHex));
   ASSERT_TRUE(binary.ok()) << binary.status().message();
   EXPECT_EQ(binary.value(), expected);
   Result<WireRequest> text = request_from_json(kGoldenOldClientJson);
   ASSERT_TRUE(text.ok()) << text.status().message();
   EXPECT_EQ(text.value(), expected);
+}
+
+TEST(WireGoldenTest, FrontierClientsDecodeToTheGoldenRequest) {
+  // Device tag 12 / "frontier" is reserved: a client that still sends the
+  // deleted strategy choice is served as if it had left it out.
+  Result<WireRequest> binary =
+      decode_request(from_hex(kGoldenFrontierClientHex));
+  ASSERT_TRUE(binary.ok()) << binary.status().message();
+  EXPECT_EQ(binary.value(), golden_device_request());
+  Result<WireRequest> text = request_from_json(kGoldenFrontierClientJson);
+  ASSERT_TRUE(text.ok()) << text.status().message();
+  EXPECT_EQ(text.value(), golden_device_request());
 }
 
 // ------------------------------------------------- binary round trips -----
@@ -1472,50 +1530,6 @@ TEST(WireJsonTest, TransportObjectIsOptionalForOldClients) {
   request.transport = {};
   EXPECT_EQ(decoded.value(), request);
 }
-
-TEST(WireMaterializeTest, FrontierStrategyRoundTripsAndValidates) {
-  // Every strategy value survives both lanes and maps onto the engine
-  // request's enum; anything past the enum range is rejected typed.
-  for (std::uint64_t value : {0ull, 1ull, 2ull}) {
-    WireRequest wire = sample_device_request(0);
-    wire.device.frontier = value;
-    const std::vector<std::uint8_t> bytes = encode(wire);
-    Result<WireRequest> binary = decode_request(bytes);
-    ASSERT_TRUE(binary.ok());
-    EXPECT_EQ(binary.value().device.frontier, value);
-    Result<WireRequest> json = request_from_json(to_json(wire));
-    ASSERT_TRUE(json.ok()) << json.status().message();
-    EXPECT_EQ(json.value().device.frontier, value);
-
-    Result<MaterializedRequest> m = materialize(wire);
-    ASSERT_TRUE(m.ok()) << m.status().message();
-    EXPECT_EQ(m.value().request.device.frontier,
-              static_cast<FrontierStrategy>(value));
-  }
-
-  WireRequest bad = sample_device_request(0);
-  bad.device.frontier = 3;
-  EXPECT_EQ(materialize(bad).status().code(), ErrorCode::kInvalidRequest);
-}
-
-TEST(WireJsonTest, FrontierStringIsOptionalAndValidated) {
-  // Absent "frontier" key = the anneal default (old clients keep working);
-  // an unknown string is a typed parse error, not a silent default.
-  const WireRequest wire = sample_device_request(0);
-  std::string json = to_json(wire);
-  const auto pos = json.find(",\"frontier\":\"anneal\"");
-  ASSERT_NE(pos, std::string::npos) << json;
-  std::string without = json;
-  without.erase(pos, std::string(",\"frontier\":\"anneal\"").size());
-  Result<WireRequest> decoded = request_from_json(without);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().message();
-  EXPECT_EQ(decoded.value().device.frontier, 0u);
-
-  std::string bogus = json;
-  bogus.replace(bogus.find("\"anneal\""), 8, "\"warp\"");
-  EXPECT_FALSE(request_from_json(bogus).ok());
-}
-
 
 // ------------------------------------------------ untrusted-input bounds ---
 
