@@ -54,21 +54,15 @@ CapacitanceModel CapacitanceModel::restricted_to(
 
 std::vector<double> CapacitanceModel::dot_drives(
     const std::vector<double>& gate_voltages) const {
-  std::vector<double> drives;
-  dot_drives_into(gate_voltages, drives);
-  return drives;
-}
-
-void CapacitanceModel::dot_drives_into(const std::vector<double>& gate_voltages,
-                                       std::vector<double>& out) const {
   QVG_EXPECTS(gate_voltages.size() == num_gates());
-  out.resize(num_dots());
+  std::vector<double> drives(num_dots());
   for (std::size_t i = 0; i < num_dots(); ++i) {
     double acc = -offsets_[i];
     for (std::size_t j = 0; j < num_gates(); ++j)
       acc += alpha_(i, j) * gate_voltages[j];
-    out[i] = acc;
+    drives[i] = acc;
   }
+  return drives;
 }
 
 double CapacitanceModel::energy(const std::vector<int>& occupation,

@@ -51,14 +51,11 @@ class CapacitanceModel {
   [[nodiscard]] CapacitanceModel restricted_to(
       const std::vector<std::size_t>& dots) const;
 
-  /// Electrochemical drive mu_i(V) for every dot.
+  /// Electrochemical drive mu_i(V) for every dot: -offset_i, then
+  /// alpha_ij * V_j added in ascending j. DeviceSimulator's scan plan
+  /// reproduces this summation order bit for bit.
   [[nodiscard]] std::vector<double> dot_drives(
       const std::vector<double>& gate_voltages) const;
-
-  /// Allocation-free variant for the per-pixel probe path: writes the drives
-  /// into `out` (resized to num_dots()).
-  void dot_drives_into(const std::vector<double>& gate_voltages,
-                       std::vector<double>& out) const;
 
   /// Total electrostatic energy of occupation `n` at the given drives.
   [[nodiscard]] double energy(const std::vector<int>& occupation,

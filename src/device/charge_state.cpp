@@ -649,10 +649,27 @@ void GroundStateSolver::bind(const CapacitanceModel& model) {
   active_.reserve(n);
   active_drives_.reserve(n);
   // Up to the limit exact_ holds the whole model for good. Above it exact_
-  // rebinds per probe to the active dots, and frontier_ binds lazily: it
-  // only runs when too many dots are active.
+  // rebinds to each new active set, and frontier_ binds lazily: it only
+  // runs when too many dots are active.
   if (n <= kExhaustiveDotLimit) exact_.bind(model);
+  exact_dots_.clear();
   frontier_ = StochasticGroundStateSolver{};
+}
+
+const std::vector<int>& GroundStateSolver::solve_active(
+    std::span<const std::size_t> active,
+    const std::vector<double>& active_drives, int max_electrons_per_dot) {
+  QVG_EXPECTS(model_ != nullptr);
+  QVG_EXPECTS(model_->num_dots() > kExhaustiveDotLimit);
+  QVG_EXPECTS(!active.empty() && active.size() <= kExhaustiveDotLimit);
+  // A solve only reads exact_'s gathered parameters and resets its per-solve
+  // state, so an unchanged active set needs no rebind.
+  if (!std::equal(active.begin(), active.end(), exact_dots_.begin(),
+                  exact_dots_.end())) {
+    exact_.bind(*model_, active);
+    exact_dots_.assign(active.begin(), active.end());
+  }
+  return exact_.solve(active_drives, max_electrons_per_dot);
 }
 
 const std::vector<int>& GroundStateSolver::solve(
@@ -675,8 +692,8 @@ const std::vector<int>& GroundStateSolver::solve(
   if (active_.empty()) return occupation_;
   active_drives_.clear();
   for (const std::size_t d : active_) active_drives_.push_back(drives[d]);
-  exact_.bind(*model_, active_);
-  const std::vector<int>& sub = exact_.solve(active_drives_, max_electrons);
+  const std::vector<int>& sub =
+      solve_active(active_, active_drives_, max_electrons);
   for (std::size_t a = 0; a < active_.size(); ++a)
     occupation_[active_[a]] = sub[a];
   return occupation_;

@@ -388,9 +388,23 @@ class GroundStateSolver {
                                 const ChargeSolverOptions& options,
                                 const std::vector<int>* warm_start = nullptr);
 
+  /// Exact ground state of the sub-problem of `active` (ascending, distinct,
+  /// 1..kExhaustiveDotLimit dots of a model above the limit) at their drives
+  /// `active_drives`: the occupations of those dots, indexed like `active`.
+  /// The caller vouches that every other dot is dominated (empty). This is
+  /// solve()'s exact branch, exposed for callers that already know the
+  /// active set; the branch-and-bound rebinds only when the set differs from
+  /// the previous call's.
+  const std::vector<int>& solve_active(std::span<const std::size_t> active,
+                                       const std::vector<double>& active_drives,
+                                       int max_electrons_per_dot);
+
  private:
   const CapacitanceModel* model_ = nullptr;
   IncrementalGroundStateSolver exact_;
+  /// The dots exact_ is bound to above the limit (empty: not bound to a
+  /// sub-problem).
+  std::vector<std::size_t> exact_dots_;
   StochasticGroundStateSolver frontier_;
   std::vector<std::size_t> active_;
   std::vector<double> active_drives_;

@@ -3,6 +3,11 @@
 #include "common/assert.hpp"
 #include "common/thread_pool.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <optional>
+
 namespace qvg {
 
 namespace {
@@ -49,26 +54,104 @@ void DeviceSimulator::set_scan_pair(ScanPair pair) {
   QVG_EXPECTS(pair.dot_y < model_.num_dots());
   QVG_EXPECTS(pair.dot_x != pair.dot_y);
   pair_ = pair;
-  scratch_.has_warm = false;  // different plane: previous pixel is stale
+  build_plan();
 }
 
 void DeviceSimulator::set_base_voltage(std::size_t gate, double voltage) {
   QVG_EXPECTS(gate < base_voltages_.size());
   base_voltages_[gate] = voltage;
-  scratch_.has_warm = false;
+  build_plan();
+}
+
+void DeviceSimulator::build_plan() {
+  const std::size_t n = model_.num_dots();
+  const std::size_t gates = model_.num_gates();
+  const SensorConfig& sensor = sensor_.config();
+  QVG_EXPECTS(sensor.beta.size() == gates);
+  QVG_EXPECTS(sensor.gamma.size() == n);
+  const std::size_t lo = std::min(pair_.gate_x, pair_.gate_y);
+  const std::size_t hi = std::max(pair_.gate_x, pair_.gate_y);
+  ScanPlan& plan = plan_;
+  plan.x_is_lo = pair_.gate_x == lo;
+  plan.mid = hi - lo - 1;
+  plan.resting = gates - lo - 2;
+  plan.prefix.resize(n + 1);
+  plan.lever_lo.resize(n + 1);
+  plan.lever_hi.resize(n + 1);
+  plan.products.resize((n + 1) * plan.resting);
+
+  // Row r: `start`, then coefficient(j) * V_j in ascending j — the order of
+  // CapacitanceModel::dot_drives and ChargeSensor::detuning.
+  auto fold = [&](std::size_t r, double start, auto coefficient) {
+    double acc = start;
+    for (std::size_t j = 0; j < lo; ++j)
+      acc += coefficient(j) * base_voltages_[j];
+    plan.prefix[r] = acc;
+    plan.lever_lo[r] = coefficient(lo);
+    plan.lever_hi[r] = coefficient(hi);
+    double* p = plan.products.data() + r * plan.resting;
+    for (std::size_t j = lo + 1; j < gates; ++j)
+      if (j != hi) *p++ = coefficient(j) * base_voltages_[j];
+  };
+  const Matrix& alpha = model_.lever_arms();
+  for (std::size_t i = 0; i < n; ++i)
+    fold(i, -model_.offsets()[i], [&](std::size_t j) { return alpha(i, j); });
+  fold(n, sensor.u0, [&](std::size_t j) { return sensor.beta[j]; });
+
+  plan.half_charging.resize(n);
+  plan.windowed = n > kExhaustiveDotLimit;
+  plan.sensor_skips_empty = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    plan.half_charging[i] = 0.5 * model_.charging_energies()[i];
+    if (std::signbit(alpha(i, lo)) || std::signbit(alpha(i, hi)))
+      plan.windowed = false;
+    if (std::bit_cast<std::uint64_t>(sensor.gamma[i] * 0.0) != 0)
+      plan.sensor_skips_empty = false;
+  }
+
+  scratch_.has_warm = false;    // different plane: previous pixel is stale
+  scratch_.has_corner = false;  // the corner's candidates were this plan's
 }
 
 void DeviceSimulator::add_noise(std::unique_ptr<NoiseProcess> process) {
   noise_.add(std::move(process));
 }
 
+bool DeviceSimulator::window_covers(ProbeScratch& ws, double v1,
+                                    double v2) const {
+  if (!plan_.windowed || !std::isfinite(v1) || !std::isfinite(v2))
+    return false;
+  if (!ws.has_corner || v1 > ws.corner_x || v2 > ws.corner_y) {
+    ws.corner_x = ws.has_corner ? std::max(ws.corner_x, v1) : v1;
+    ws.corner_y = ws.has_corner ? std::max(ws.corner_y, v2) : v2;
+    ws.has_corner = true;
+    const auto [lo, hi] = lo_hi(ws.corner_x, ws.corner_y);
+    ws.candidates.clear();
+    for (std::size_t i = 0; i < model_.num_dots(); ++i)
+      if (!(plan_.sum(i, lo, hi) < plan_.half_charging[i]))
+        ws.candidates.push_back(i);
+  }
+  return ws.candidates.size() <= kExhaustiveDotLimit;
+}
+
+void DeviceSimulator::drives_into(double v1, double v2,
+                                  std::vector<double>& out) const {
+  const auto [lo, hi] = lo_hi(v1, v2);
+  out.resize(model_.num_dots());
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = plan_.sum(i, lo, hi);
+}
+
+std::vector<double> DeviceSimulator::dot_drives_at(double v1,
+                                                   double v2) const {
+  std::vector<double> drives;
+  drives_into(v1, v2, drives);
+  return drives;
+}
+
 const std::vector<int>& DeviceSimulator::occupation_with(ProbeScratch& ws,
                                                          double v1,
                                                          double v2) const {
-  ws.voltages.assign(base_voltages_.begin(), base_voltages_.end());
-  ws.voltages[pair_.gate_x] = v1;
-  ws.voltages[pair_.gate_y] = v2;
-  model_.dot_drives_into(ws.voltages, ws.drives);
+  drives_into(v1, v2, ws.drives);
   if (!ws.solver.bound_to(model_)) ws.solver.bind(model_);
   const auto& occ = ws.solver.solve(ws.drives, solver_options_,
                                     ws.has_warm ? &ws.warm : nullptr);
@@ -79,8 +162,46 @@ const std::vector<int>& DeviceSimulator::occupation_with(ProbeScratch& ws,
 
 double DeviceSimulator::probe_with(ProbeScratch& ws, double v1,
                                    double v2) const {
-  const auto& occupation = occupation_with(ws, v1, v2);
-  return sensor_.current(ws.voltages, occupation);
+  const std::size_t n = model_.num_dots();
+  const std::vector<double>& gamma = sensor_.config().gamma;
+  const auto [lo, hi] = lo_hi(v1, v2);
+  double u = plan_.sum(n, lo, hi);
+  if (!window_covers(ws, v1, v2)) {
+    const std::vector<int>& occupation = occupation_with(ws, v1, v2);
+    for (std::size_t i = 0; i < n; ++i)
+      u -= gamma[i] * static_cast<double>(occupation[i]);
+    return sensor_.current_at_detuning(u);
+  }
+
+  // Candidate path: the pre-pass over the candidates alone, then the exact
+  // solve of the active ones (every other dot is empty).
+  ws.active.clear();
+  ws.active_drives.clear();
+  for (const std::size_t d : ws.candidates) {
+    const double drive = plan_.sum(d, lo, hi);
+    if (!(drive < plan_.half_charging[d])) {
+      ws.active.push_back(d);
+      ws.active_drives.push_back(drive);
+    }
+  }
+  const std::vector<int>* sub = nullptr;
+  if (!ws.active.empty()) {
+    if (!ws.solver.bound_to(model_)) ws.solver.bind(model_);
+    sub = &ws.solver.solve_active(ws.active, ws.active_drives,
+                                  solver_options_.max_electrons_per_dot);
+  }
+  if (plan_.sensor_skips_empty) {
+    for (std::size_t a = 0; a < ws.active.size(); ++a)
+      u -= gamma[ws.active[a]] * static_cast<double>((*sub)[a]);
+  } else {
+    std::size_t a = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      int c = 0;
+      if (a < ws.active.size() && ws.active[a] == i) c = (*sub)[a++];
+      u -= gamma[i] * static_cast<double>(c);
+    }
+  }
+  return sensor_.current_at_detuning(u);
 }
 
 double DeviceSimulator::ideal_current(double v1, double v2) const {
@@ -134,7 +255,12 @@ void DeviceSimulator::get_currents(std::span<const Point2> points,
   // Ideal physics first, in parallel chunks with per-chunk scratch. The
   // small-batch threshold keeps sweep-sized segments off the pool.
   auto eval_chunk = [&](std::size_t lo, std::size_t hi) {
-    ProbeScratch ws;
+    // Chunk 0 — the whole batch when it is too small to split — probes on
+    // the simulator's own scratch, whose buffers, solver binding and window
+    // corner carry over from batch to batch; other chunks on fresh ones.
+    std::optional<ProbeScratch> fresh;
+    ProbeScratch& ws = lo == 0 ? scratch_ : fresh.emplace();
+    ws.has_warm = false;
     for (std::size_t i = lo; i < hi; ++i)
       out[i] = probe_with(ws, points[i].x, points[i].y);
   };

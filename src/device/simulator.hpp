@@ -2,6 +2,46 @@
 // temporal noise, exposed through the CurrentSource experiment interface so
 // every extraction algorithm can run against it directly (the "live device"
 // mode) or against CSDs it generated (the paper's replay mode).
+//
+// The scan plan. A pair scan moves two gates and rests every other one at
+// its base voltage, so most of each probe's arithmetic is the same at every
+// probe. The simulator folds it once, at construction and again on every
+// set_scan_pair / set_base_voltage, for each dot drive
+// mu_i = -offset_i + sum_j alpha_ij V_j and for the sensor detuning
+// u0 + sum_j beta_j V_j:
+//
+//   * the running sum over the gates below min(gate_x, gate_y);
+//   * every resting-gate product alpha_ij * base_j above it.
+//
+// A probe multiplies only the two scanned columns and adds the folded terms
+// in CapacitanceModel::dot_drives' ascending-gate order, so every drive and
+// every detuning is bit-identical to the unplanned sum.
+//
+// Scan-window dominance. Under round-to-nearest each step of that sum is
+// monotone non-decreasing in v1 and v2 while both scanned lever arms are
+// >= 0. So a dot that the dominance pre-pass (see charge_state.hpp) finds
+// empty at the upper corner of the probes seen so far — the largest v1 and
+// the largest v2 — is empty at every probe at or below that corner. Each
+// ProbeScratch (one per parallel chunk, so chunks share nothing) keeps that
+// corner and the dots not dominated there, the candidates; the corner
+// grows only when a probe exceeds it. A probe then computes the drives of
+// the candidates only and solves the active ones exactly through
+// GroundStateSolver::solve_active. The full path (every drive, then
+// GroundStateSolver::solve) runs instead when
+//
+//   * the model has <= kExhaustiveDotLimit dots (the whole model is solved
+//     exactly, warm-started from the previous probe);
+//   * a scanned lever arm has its sign bit set (CapacitanceModel admits
+//     only -0.0 there);
+//   * a voltage is not finite (an infinite voltage times a zero lever arm
+//     is NaN, which breaks the monotonicity);
+//   * more than kExhaustiveDotLimit dots are candidates, so the anneal still
+//     sees every real drive.
+//
+// Either way the occupation is the one GroundStateSolver::solve returns.
+// The detuning's -gamma_i n_i terms skip the empty dots only when every
+// gamma_i * 0 is +0 (its sign bit clear and gamma_i finite); subtracting +0
+// never changes a sum.
 #pragma once
 
 #include "device/capacitance.hpp"
@@ -13,6 +53,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace qvg {
@@ -75,6 +116,11 @@ class DeviceSimulator final : public CurrentSource {
   /// evaluate_raster for batched/parallel evaluation.
   [[nodiscard]] double ideal_current(double v1, double v2) const;
 
+  /// Every dot's drive at a voltage pair as the probe path computes it,
+  /// from the scan plan: bit-identical to CapacitanceModel::dot_drives on
+  /// the base voltages with the scanned pair set (the tests pin it).
+  [[nodiscard]] std::vector<double> dot_drives_at(double v1, double v2) const;
+
   /// Ground-state occupation at a voltage pair. Shares the internal scratch
   /// workspace with ideal_current: not safe to call concurrently on the
   /// same simulator.
@@ -113,6 +159,12 @@ class DeviceSimulator final : public CurrentSource {
   /// Update a base (non-swept) gate voltage.
   void set_base_voltage(std::size_t gate, double voltage);
 
+  /// Whether probes may take the scan-window candidate path (see the header
+  /// comment); false means every probe runs the full path.
+  [[nodiscard]] bool scan_window_enabled() const noexcept {
+    return plan_.windowed;
+  }
+
   /// Charge-solver configuration. The constructor derives
   /// frontier.seed deterministically from the noise seed (the request
   /// seed), so every anneal above kExhaustiveDotLimit active dots is a pure
@@ -130,6 +182,37 @@ class DeviceSimulator final : public CurrentSource {
   void reset();
 
  private:
+  /// The folded resting gates of one scan pair (see the header comment).
+  /// Row i < num_dots() is dot i's drive, row num_dots() the sensor's
+  /// detuning before its occupation terms.
+  struct ScanPlan {
+    bool x_is_lo = true;       // gate_x < gate_y
+    std::size_t mid = 0;       // resting gates between the scanned two
+    std::size_t resting = 0;   // resting gates above the lower scanned one
+    std::vector<double> prefix;      // per row: the sum below the scanned gates
+    std::vector<double> lever_lo;    // per row: coefficient of the lower gate
+    std::vector<double> lever_hi;    // per row: coefficient of the upper gate
+    std::vector<double> products;    // rows x resting: coefficient * base
+    std::vector<double> half_charging;  // per dot: Ec_i / 2
+    /// Window dominance applies (more than kExhaustiveDotLimit dots, every
+    /// scanned lever arm's sign bit clear).
+    bool windowed = false;
+    /// Every gamma_i * 0 is +0, so empty dots drop out of the detuning.
+    bool sensor_skips_empty = false;
+
+    /// Row r's sum at scanned voltages (v_lo, v_hi) on the lower and upper
+    /// scanned gates, in the unplanned ascending-gate order.
+    [[nodiscard]] double sum(std::size_t r, double v_lo, double v_hi) const {
+      const double* p = products.data() + r * resting;
+      double acc = prefix[r] + lever_lo[r] * v_lo;
+      std::size_t k = 0;
+      for (; k < mid; ++k) acc += p[k];
+      acc += lever_hi[r] * v_hi;
+      for (; k < resting; ++k) acc += p[k];
+      return acc;
+    }
+  };
+
   /// Per-thread scratch for the allocation-free probe path. One
   /// GroundStateSolver serves every device size: up to kExhaustiveDotLimit
   /// dots it solves the whole model exactly, warm-started from `warm` (the
@@ -137,15 +220,34 @@ class DeviceSimulator final : public CurrentSource {
   /// dots exactly, or anneals when more than the limit are active, and
   /// ignores `warm` (the result is a function of the probe).
   struct ProbeScratch {
-    std::vector<double> voltages;
     std::vector<double> drives;
     std::vector<int> warm;
     bool has_warm = false;
+    /// Scan-window dominance: the upper corner of the probes seen since the
+    /// plan was built, and the dots not dominated there.
+    bool has_corner = false;
+    double corner_x = 0.0;
+    double corner_y = 0.0;
+    std::vector<std::size_t> candidates;
+    std::vector<std::size_t> active;
+    std::vector<double> active_drives;
     GroundStateSolver solver;
   };
 
-  /// Ground-state occupation via the scratch workspace (no allocation after
-  /// the first call); leaves the full voltage vector in ws.voltages.
+  /// Rebuild plan_ from the model, sensor, base voltages and scan pair, and
+  /// drop scratch_'s window corner.
+  void build_plan();
+  /// The scanned voltages as (lower gate, upper gate).
+  [[nodiscard]] std::pair<double, double> lo_hi(double v1, double v2) const {
+    return plan_.x_is_lo ? std::pair{v1, v2} : std::pair{v2, v1};
+  }
+  /// Every dot's drive at (v1, v2) from the plan, into `out`.
+  void drives_into(double v1, double v2, std::vector<double>& out) const;
+  /// Grow ws's window corner to cover (v1, v2), refreshing its candidates
+  /// when it moves; true when the candidate path may serve the probe.
+  bool window_covers(ProbeScratch& ws, double v1, double v2) const;
+  /// Ground-state occupation via the scratch workspace and the full path
+  /// (no allocation after the first call).
   const std::vector<int>& occupation_with(ProbeScratch& ws, double v1,
                                           double v2) const;
   [[nodiscard]] double probe_with(ProbeScratch& ws, double v1, double v2) const;
@@ -161,6 +263,7 @@ class DeviceSimulator final : public CurrentSource {
   std::uint64_t noise_seed_;
   SimClock clock_;
   long probes_ = 0;
+  ScanPlan plan_;
   mutable ProbeScratch scratch_;
 };
 

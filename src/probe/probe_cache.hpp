@@ -13,13 +13,24 @@
 // probed since drift_started_at_probe() (their bounding voltage rectangle)
 // before propagating the failure, so the retrying caller re-probes only the
 // stale region instead of the whole diagram.
+//
+// The table. Cached values and the misses of the batch in flight live in
+// one flat open-addressing table: power-of-two capacity, linear probing
+// from a multiplicative hash of the key, grown by doubling past half load
+// and sized up front by reserve(). Each slot carries a state byte (empty,
+// cached, pending miss) instead of a sentinel key, because every 64-bit key
+// is reachable — a probe saturated at +2^31 quanta on both axes keys to all
+// ones. A pending slot holds its miss index, so an in-batch repeat resolves
+// to the first occurrence's miss; a successful forward turns the batch's
+// pending slots into cached ones. Removal (a failed batch's pending slots,
+// invalidate_region's scan) rebuilds the table without the dropped slots,
+// so a linear-probing chain never breaks; both are rare next to lookups.
 #pragma once
 
 #include "common/geometry.hpp"
 #include "probe/current_source.hpp"
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace qvg {
@@ -43,7 +54,7 @@ class ProbeCache final : public CurrentSource {
   /// probe counts onto probe-log indices).
   ProbeCache(CurrentSource& source, double granularity);
 
-  /// Pre-size the hash map and probe log for an expected number of unique
+  /// Pre-size the table and probe log for an expected number of unique
   /// probes (the sweeps know roughly how many pixels they will touch;
   /// reserving up front avoids rehashing mid-extraction).
   void reserve(std::size_t expected_unique_probes);
@@ -140,12 +151,34 @@ class ProbeCache final : public CurrentSource {
   /// fill the miss-backed outputs (pass 2).
   void commit_misses(std::span<const Point2> points, std::span<double> out);
 
+  enum class SlotState : std::uint8_t { kEmpty, kCached, kPending };
+  struct Slot {
+    std::uint64_t key = 0;
+    double value = 0.0;          // kCached: the current
+    std::uint32_t miss = 0;      // kPending: index into the miss scratch
+    SlotState state = SlotState::kEmpty;
+  };
+
+  /// The slot holding `key`, or the empty slot where it belongs.
+  [[nodiscard]] std::size_t find_slot(std::uint64_t key) const;
+  /// Claim the empty slot `slot` for `key` (growing the table first when it
+  /// would pass half load); returns the key's slot afterwards.
+  std::size_t claim(std::size_t slot, std::uint64_t key);
+  /// Rehash every slot `keep` accepts into a table of `capacity` slots.
+  template <typename Keep>
+  void rebuild(std::size_t capacity, Keep keep);
+  /// Forget the pending slots of an unserved batch.
+  void drop_pending();
+
   CurrentSource& source_;
   double granularity_;
   long source_base_ = 0;  // inner probe_count() at construction
   long requests_ = 0;
   long hits_ = 0;
-  std::unordered_map<std::uint64_t, double> cache_;
+  std::vector<Slot> slots_;  // power-of-two size
+  std::size_t used_ = 0;     // non-empty slots
+  std::size_t pending_ = 0;  // kPending slots (non-zero only mid-batch)
+  int shift_ = 0;            // 64 - log2(slots_.size())
   std::vector<Point2> log_;
 
   // Reused get_currents scratch (keeps the batched hot path allocation-free
@@ -154,7 +187,6 @@ class ProbeCache final : public CurrentSource {
   std::vector<Point2> miss_points_;
   std::vector<std::uint64_t> miss_keys_;
   std::vector<double> miss_values_;
-  std::unordered_map<std::uint64_t, std::size_t> pending_;  // key -> miss slot
 };
 
 }  // namespace qvg

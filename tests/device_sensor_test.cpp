@@ -92,9 +92,9 @@ TEST(ChargeSensorTest, ValidationRejectsBadConfig) {
 
 TEST(ChargeSensorTest, MismatchedVectorsThrow) {
   const ChargeSensor sensor(config_for_test());
-  EXPECT_THROW(sensor.detuning({0.0}, {0, 0}), ContractViolation);
-  EXPECT_THROW(sensor.detuning({0.0, 0.0}, {0}), ContractViolation);
-  EXPECT_THROW(sensor.step_contrast(5, 0.0), ContractViolation);
+  EXPECT_THROW((void)sensor.detuning({0.0}, {0, 0}), ContractViolation);
+  EXPECT_THROW((void)sensor.detuning({0.0, 0.0}, {0}), ContractViolation);
+  EXPECT_THROW((void)sensor.step_contrast(5, 0.0), ContractViolation);
 }
 
 }  // namespace

@@ -13,7 +13,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <memory>
+#include <numeric>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -427,6 +434,224 @@ TEST(RasterEquivalenceTest, IdealCurrentIsRepeatableAcrossWarmState) {
   (void)sim.ideal_current(0.058, 0.002);
   (void)sim.ideal_current(0.001, 0.059);
   EXPECT_EQ(sim.ideal_current(0.021, 0.037), a);
+}
+
+// ---------------------------------------------------------------------------
+// The scan plan: folded resting gates and scan-window dominance must leave
+// every drive and every current bit-identical to the unplanned reference.
+
+/// The reference current at one voltage pair: kNaive on a 1x1 raster.
+double naive_current(const DeviceSimulator& sim, double v1, double v2) {
+  return sim.evaluate_raster(VoltageAxis(v1, 1.0, 1), VoltageAxis(v2, 1.0, 1),
+                             {RasterEvalMode::kNaive, false})(0, 0);
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+BuiltDevice jittered_array(std::size_t n) {
+  DotArrayParams params;
+  params.n_dots = n;
+  params.jitter = 0.04;
+  Rng jitter(100 + n);
+  return build_dot_array(params, &jitter);
+}
+
+/// A pixels x pixels grid over the window widened by half its span on each
+/// side, so a quarter of the probes sit outside the window on either axis.
+std::vector<Point2> widened_grid(const BuiltDevice& device,
+                                 std::size_t pixels = 24) {
+  const double lo = device.params.window_lo;
+  const double hi = device.params.window_hi;
+  const double span = hi - lo;
+  const VoltageAxis axis =
+      VoltageAxis::over_range(lo - 0.5 * span, hi + 0.5 * span, pixels);
+  std::vector<Point2> points;
+  for (std::size_t y = 0; y < axis.count(); ++y)
+    for (std::size_t x = 0; x < axis.count(); ++x)
+      points.push_back({axis.voltage(static_cast<double>(x)),
+                        axis.voltage(static_cast<double>(y))});
+  return points;
+}
+
+/// The scan pairs of an n-dot array: every neighbouring pair, plus two
+/// non-adjacent ones with the gates in either order (resting gates between
+/// the scanned two).
+std::vector<ScanPair> every_pair(std::size_t n) {
+  std::vector<ScanPair> pairs;
+  for (std::size_t p = 0; p + 1 < n; ++p) pairs.push_back({p, p + 1, p, p + 1});
+  pairs.push_back({2, 6, 2, 6});
+  pairs.push_back({7, 3, 7, 3});
+  return pairs;
+}
+
+DeviceSimulator pair_simulator(const BuiltDevice& device, const ScanPair& pair) {
+  const std::size_t sensor_pair = std::min(pair.gate_x, pair.gate_y);
+  return DeviceSimulator(device.model, sensor_for_pair(device, sensor_pair),
+                         device.base_voltages, pair);
+}
+
+/// get_currents over `points` in ascending, descending and shuffled order
+/// (the shuffled one also in batches of 37, which carry the simulator's own
+/// window corner from batch to batch), each on a fresh simulator from
+/// `make`, must equal the reference bit for bit.
+template <typename Make>
+void expect_orders_match_naive(Make make, const std::vector<Point2>& points,
+                               const std::string& label) {
+  std::vector<double> naive(points.size());
+  {
+    const DeviceSimulator reference = make();
+    for (std::size_t i = 0; i < points.size(); ++i)
+      naive[i] = naive_current(reference, points[i].x, points[i].y);
+  }
+
+  std::vector<std::size_t> order(points.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::vector<std::vector<std::size_t>> orders{order};
+  orders.emplace_back(order.rbegin(), order.rend());
+  Rng rng(7);
+  for (std::size_t i = order.size(); i > 1; --i)
+    std::swap(order[i - 1],
+              order[static_cast<std::size_t>(
+                  rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
+  orders.push_back(order);
+
+  for (std::size_t o = 0; o < orders.size(); ++o) {
+    std::vector<Point2> ordered;
+    for (const std::size_t i : orders[o]) ordered.push_back(points[i]);
+    for (const std::size_t batch : {ordered.size(), std::size_t{37}}) {
+      if (o != 2 && batch != ordered.size()) continue;
+      DeviceSimulator sim = make();
+      std::vector<double> out(ordered.size());
+      for (std::size_t b = 0; b < ordered.size(); b += batch) {
+        const std::size_t e = std::min(ordered.size(), b + batch);
+        sim.get_currents(std::span(ordered).subspan(b, e - b),
+                         std::span(out).subspan(b, e - b));
+      }
+      std::size_t mismatches = 0;
+      for (std::size_t k = 0; k < ordered.size(); ++k)
+        if (!same_bits(out[k], naive[orders[o][k]])) ++mismatches;
+      EXPECT_EQ(mismatches, 0u)
+          << label << " order " << o << " batch " << batch;
+    }
+  }
+}
+
+TEST(ScanPlanTest, PlannedDrivesMatchDotDrivesBitForBit) {
+  for (const std::size_t n : {10u, 16u}) {
+    const BuiltDevice device = jittered_array(n);
+    const std::vector<Point2> points = widened_grid(device);
+    for (const ScanPair& pair : every_pair(n)) {
+      DeviceSimulator sim = pair_simulator(device, pair);
+      // Uneven resting gates, so no folded product is a repeat of another.
+      for (std::size_t g = 0; g < n; ++g)
+        if (g != pair.gate_x && g != pair.gate_y)
+          sim.set_base_voltage(g, 0.001 * static_cast<double>(g) + 0.0031);
+      std::size_t mismatches = 0;
+      for (const Point2& p : points) {
+        std::vector<double> voltages = sim.base_voltages();
+        voltages[pair.gate_x] = p.x;
+        voltages[pair.gate_y] = p.y;
+        const std::vector<double> expected = device.model.dot_drives(voltages);
+        const std::vector<double> planned = sim.dot_drives_at(p.x, p.y);
+        for (std::size_t i = 0; i < n; ++i)
+          if (!same_bits(planned[i], expected[i])) ++mismatches;
+      }
+      EXPECT_EQ(mismatches, 0u)
+          << n << " dots, gates " << pair.gate_x << "," << pair.gate_y;
+    }
+  }
+}
+
+TEST(ScanPlanTest, GetCurrentsMatchesNaiveOnEveryPair) {
+  // 576 probes per order: one batch splits into parallel chunks, each with
+  // its own window corner.
+  for (const std::size_t n : {10u, 16u}) {
+    const BuiltDevice device = jittered_array(n);
+    const std::vector<Point2> points = widened_grid(device);
+    ASSERT_GE(points.size(), 512u);
+    for (const ScanPair& pair : every_pair(n)) {
+      auto make = [&] { return pair_simulator(device, pair); };
+      EXPECT_TRUE(make().scan_window_enabled());
+      expect_orders_match_naive(
+          make, points,
+          std::to_string(n) + " dots, gates " + std::to_string(pair.gate_x) +
+              "," + std::to_string(pair.gate_y));
+    }
+  }
+}
+
+TEST(ScanPlanTest, FallbacksMatchNaive) {
+  const BuiltDevice device = jittered_array(16);
+  const std::vector<Point2> points = widened_grid(device);
+  const CapacitanceModel& model = device.model;
+
+  // A scanned lever arm with its sign bit set (-0.0 is the only one the
+  // model admits): every probe runs the full path.
+  Matrix alpha = model.lever_arms();
+  alpha(9, 1) = -0.0;
+  const CapacitanceModel signed_zero(alpha, model.charging_energies(),
+                                     model.mutual_coupling(), model.offsets());
+  auto full = [&] {
+    return DeviceSimulator(signed_zero, sensor_for_pair(device, 1),
+                           device.base_voltages, ScanPair{1, 2, 1, 2});
+  };
+  EXPECT_FALSE(full().scan_window_enabled());
+  expect_orders_match_naive(full, points, "signed-zero lever");
+
+  // A negative sensor shift: gamma_i * 0 is -0, so the detuning keeps every
+  // dot's term on the candidate path.
+  SensorConfig sensor = sensor_for_pair(device, 4);
+  sensor.gamma[11] = -0.4e-3;
+  auto negative_gamma = [&] {
+    return DeviceSimulator(model, sensor, device.base_voltages,
+                           ScanPair{4, 5, 4, 5});
+  };
+  EXPECT_TRUE(negative_gamma().scan_window_enabled());
+  expect_orders_match_naive(negative_gamma, points, "negative gamma");
+
+  // At or below kExhaustiveDotLimit dots the whole model is solved (a
+  // coarser grid: the reference enumerates all 5^7 states per probe).
+  const BuiltDevice small = jittered_array(7);
+  auto seven = [&] { return make_pair_simulator(small, 2); };
+  EXPECT_FALSE(seven().scan_window_enabled());
+  expect_orders_match_naive(seven, widened_grid(small, 8), "7 dots");
+
+  // Non-finite voltages take the full path; the reference agrees on them.
+  DeviceSimulator sim = make_pair_simulator(device, 3);
+  const std::vector<Point2> odd{{0.02, 0.03},       {HUGE_VAL, 0.01},
+                                {-HUGE_VAL, 0.04},  {0.01, std::nan("")},
+                                {0.03, -HUGE_VAL},  {0.02, 0.03}};
+  std::vector<double> out(odd.size());
+  sim.get_currents(odd, out);
+  for (std::size_t i = 0; i < odd.size(); ++i)
+    EXPECT_TRUE(same_bits(out[i], naive_current(sim, odd[i].x, odd[i].y)))
+        << i;
+}
+
+TEST(ScanPlanTest, RaisedBasePastTheLimitRebuildsTheWindow) {
+  // Probe first, so the simulator's own scratch holds a window corner and
+  // its candidates; then raise 8 resting plungers to the window centre,
+  // which activates more than kExhaustiveDotLimit dots. The rebuilt plan
+  // must drop the stale corner: the probes now anneal, exactly like kNaive.
+  const BuiltDevice device = jittered_array(16);
+  const std::vector<Point2> points = widened_grid(device);
+  const double centre =
+      0.5 * (device.params.window_lo + device.params.window_hi);
+  auto raised = [&] {
+    DeviceSimulator sim = make_pair_simulator(device, 0);
+    std::vector<double> out(100);
+    sim.get_currents(std::span(points).first(100), out);
+    for (std::size_t g = 8; g < 16; ++g) sim.set_base_voltage(g, centre);
+    return sim;
+  };
+  std::vector<double> voltages = raised().base_voltages();
+  voltages[0] = voltages[1] = device.params.window_lo;
+  std::vector<std::size_t> active;
+  active_dots(device.model, device.model.dot_drives(voltages), active);
+  EXPECT_GT(active.size(), kExhaustiveDotLimit);
+  expect_orders_match_naive(raised, points, "raised bases");
 }
 
 }  // namespace

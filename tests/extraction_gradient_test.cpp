@@ -57,14 +57,17 @@ TEST(FeatureGradientTest, CostsThreeProbesUncachedOneWhenShared) {
   SyntheticCsdSpec spec;
   const Csd csd = make_synthetic_csd(spec);
   CsdPlayback playback(csd);
-  feature_gradient(playback, 0.030, 0.030, 0.001, 0.001);
+  const double direct = feature_gradient(playback, 0.030, 0.030, 0.001, 0.001);
   EXPECT_EQ(playback.probe_count(), 3);
 
-  // Adjacent evaluations through a cache share neighbours.
+  // Adjacent evaluations through a cache share neighbours, and the cache
+  // changes no value.
   CsdPlayback playback2(csd);
   ProbeCache cache(playback2, 0.001);
-  feature_gradient(cache, 0.030, 0.030, 0.001, 0.001);
-  feature_gradient(cache, 0.031, 0.030, 0.001, 0.001);
+  EXPECT_EQ(feature_gradient(cache, 0.030, 0.030, 0.001, 0.001), direct);
+  const double shared = feature_gradient(cache, 0.031, 0.030, 0.001, 0.001);
+  CsdPlayback playback3(csd);
+  EXPECT_EQ(shared, feature_gradient(playback3, 0.031, 0.030, 0.001, 0.001));
   EXPECT_EQ(cache.probe_count(), 6);
   // Second evaluation reuses (0.031, 0.030): only 2 new unique probes.
   EXPECT_EQ(cache.unique_probe_count(), 5);
@@ -88,9 +91,9 @@ TEST(FeatureGradientTest, InvalidDeltaRejected) {
   SyntheticCsdSpec spec;
   const Csd csd = make_synthetic_csd(spec);
   CsdPlayback playback(csd);
-  EXPECT_THROW(feature_gradient(playback, 0.0, 0.0, 0.0, 0.001),
+  EXPECT_THROW((void)feature_gradient(playback, 0.0, 0.0, 0.0, 0.001),
                ContractViolation);
-  EXPECT_THROW(feature_gradient(playback, 0.0, 0.0, 0.001, -0.001),
+  EXPECT_THROW((void)feature_gradient(playback, 0.0, 0.0, 0.001, -0.001),
                ContractViolation);
 }
 
