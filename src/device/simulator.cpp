@@ -4,7 +4,6 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <optional>
 
@@ -99,15 +98,9 @@ void DeviceSimulator::build_plan() {
   fold(n, sensor.u0, [&](std::size_t j) { return sensor.beta[j]; });
 
   plan.half_charging.resize(n);
-  plan.windowed = n > kExhaustiveDotLimit;
-  plan.sensor_skips_empty = true;
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < n; ++i)
     plan.half_charging[i] = 0.5 * model_.charging_energies()[i];
-    if (std::signbit(alpha(i, lo)) || std::signbit(alpha(i, hi)))
-      plan.windowed = false;
-    if (std::bit_cast<std::uint64_t>(sensor.gamma[i] * 0.0) != 0)
-      plan.sensor_skips_empty = false;
-  }
+  plan.windowed = n > kExhaustiveDotLimit;
 
   scratch_.has_warm = false;    // different plane: previous pixel is stale
   scratch_.has_corner = false;  // the corner's candidates were this plan's
@@ -160,47 +153,42 @@ const std::vector<int>& DeviceSimulator::occupation_with(ProbeScratch& ws,
   return occ;
 }
 
-double DeviceSimulator::probe_with(ProbeScratch& ws, double v1,
-                                   double v2) const {
-  const std::size_t n = model_.num_dots();
-  const std::vector<double>& gamma = sensor_.config().gamma;
-  const auto [lo, hi] = lo_hi(v1, v2);
-  double u = plan_.sum(n, lo, hi);
-  if (!window_covers(ws, v1, v2)) {
-    const std::vector<int>& occupation = occupation_with(ws, v1, v2);
-    for (std::size_t i = 0; i < n; ++i)
-      u -= gamma[i] * static_cast<double>(occupation[i]);
-    return sensor_.current_at_detuning(u);
-  }
-
-  // Candidate path: the pre-pass over the candidates alone, then the exact
-  // solve of the active ones (every other dot is empty).
+const std::vector<int>& DeviceSimulator::window_occupation(ProbeScratch& ws,
+                                                           double v_lo,
+                                                           double v_hi) const {
+  // The pre-pass over the candidates alone, then the exact solve of the
+  // active ones; every other dot is empty.
   ws.active.clear();
   ws.active_drives.clear();
   for (const std::size_t d : ws.candidates) {
-    const double drive = plan_.sum(d, lo, hi);
+    const double drive = plan_.sum(d, v_lo, v_hi);
     if (!(drive < plan_.half_charging[d])) {
       ws.active.push_back(d);
       ws.active_drives.push_back(drive);
     }
   }
-  const std::vector<int>* sub = nullptr;
+  ws.occupation.assign(model_.num_dots(), 0);
   if (!ws.active.empty()) {
     if (!ws.solver.bound_to(model_)) ws.solver.bind(model_);
-    sub = &ws.solver.solve_active(ws.active, ws.active_drives,
-                                  solver_options_.max_electrons_per_dot);
-  }
-  if (plan_.sensor_skips_empty) {
+    const std::vector<int>& sub = ws.solver.solve_active(
+        ws.active, ws.active_drives, solver_options_.max_electrons_per_dot);
     for (std::size_t a = 0; a < ws.active.size(); ++a)
-      u -= gamma[ws.active[a]] * static_cast<double>((*sub)[a]);
-  } else {
-    std::size_t a = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      int c = 0;
-      if (a < ws.active.size() && ws.active[a] == i) c = (*sub)[a++];
-      u -= gamma[i] * static_cast<double>(c);
-    }
+      ws.occupation[ws.active[a]] = sub[a];
   }
+  return ws.occupation;
+}
+
+double DeviceSimulator::probe_with(ProbeScratch& ws, double v1,
+                                   double v2) const {
+  const auto [lo, hi] = lo_hi(v1, v2);
+  const std::vector<int>& occupation = window_covers(ws, v1, v2)
+                                           ? window_occupation(ws, lo, hi)
+                                           : occupation_with(ws, v1, v2);
+  const std::size_t n = model_.num_dots();
+  const std::vector<double>& gamma = sensor_.config().gamma;
+  double u = plan_.sum(n, lo, hi);
+  for (std::size_t i = 0; i < n; ++i)
+    u -= gamma[i] * static_cast<double>(occupation[i]);
   return sensor_.current_at_detuning(u);
 }
 

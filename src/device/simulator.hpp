@@ -18,9 +18,10 @@
 // every detuning is bit-identical to the unplanned sum.
 //
 // Scan-window dominance. Under round-to-nearest each step of that sum is
-// monotone non-decreasing in v1 and v2 while both scanned lever arms are
-// >= 0. So a dot that the dominance pre-pass (see charge_state.hpp) finds
-// empty at the upper corner of the probes seen so far — the largest v1 and
+// monotone non-decreasing in v1 and v2, because CapacitanceModel admits
+// only lever arms >= 0 (a -0.0 one adds a zero of either sign, which `<`
+// cannot tell apart). So a dot that the dominance pre-pass (see
+// charge_state.hpp) finds empty at the upper corner of the probes seen so far — the largest v1 and
 // the largest v2 — is empty at every probe at or below that corner. Each
 // ProbeScratch (one per parallel chunk, so chunks share nothing) keeps that
 // corner and the dots not dominated there, the candidates; the corner
@@ -31,17 +32,13 @@
 //
 //   * the model has <= kExhaustiveDotLimit dots (the whole model is solved
 //     exactly, warm-started from the previous probe);
-//   * a scanned lever arm has its sign bit set (CapacitanceModel admits
-//     only -0.0 there);
 //   * a voltage is not finite (an infinite voltage times a zero lever arm
 //     is NaN, which breaks the monotonicity);
 //   * more than kExhaustiveDotLimit dots are candidates, so the anneal still
 //     sees every real drive.
 //
-// Either way the occupation is the one GroundStateSolver::solve returns.
-// The detuning's -gamma_i n_i terms skip the empty dots only when every
-// gamma_i * 0 is +0 (its sign bit clear and gamma_i finite); subtracting +0
-// never changes a sum.
+// Either way the occupation is the one GroundStateSolver::solve returns,
+// and the detuning subtracts every dot's gamma_i n_i from it in dot order.
 #pragma once
 
 #include "device/capacitance.hpp"
@@ -159,12 +156,6 @@ class DeviceSimulator final : public CurrentSource {
   /// Update a base (non-swept) gate voltage.
   void set_base_voltage(std::size_t gate, double voltage);
 
-  /// Whether probes may take the scan-window candidate path (see the header
-  /// comment); false means every probe runs the full path.
-  [[nodiscard]] bool scan_window_enabled() const noexcept {
-    return plan_.windowed;
-  }
-
   /// Charge-solver configuration. The constructor derives
   /// frontier.seed deterministically from the noise seed (the request
   /// seed), so every anneal above kExhaustiveDotLimit active dots is a pure
@@ -194,11 +185,8 @@ class DeviceSimulator final : public CurrentSource {
     std::vector<double> lever_hi;    // per row: coefficient of the upper gate
     std::vector<double> products;    // rows x resting: coefficient * base
     std::vector<double> half_charging;  // per dot: Ec_i / 2
-    /// Window dominance applies (more than kExhaustiveDotLimit dots, every
-    /// scanned lever arm's sign bit clear).
+    /// Window dominance applies (more than kExhaustiveDotLimit dots).
     bool windowed = false;
-    /// Every gamma_i * 0 is +0, so empty dots drop out of the detuning.
-    bool sensor_skips_empty = false;
 
     /// Row r's sum at scanned voltages (v_lo, v_hi) on the lower and upper
     /// scanned gates, in the unplanned ascending-gate order.
@@ -231,6 +219,7 @@ class DeviceSimulator final : public CurrentSource {
     std::vector<std::size_t> candidates;
     std::vector<std::size_t> active;
     std::vector<double> active_drives;
+    std::vector<int> occupation;  // the candidate path's result
     GroundStateSolver solver;
   };
 
@@ -246,6 +235,10 @@ class DeviceSimulator final : public CurrentSource {
   /// Grow ws's window corner to cover (v1, v2), refreshing its candidates
   /// when it moves; true when the candidate path may serve the probe.
   bool window_covers(ProbeScratch& ws, double v1, double v2) const;
+  /// Ground-state occupation on the candidate path, at the scanned voltages
+  /// as (lower gate, upper gate); needs window_covers to have passed.
+  const std::vector<int>& window_occupation(ProbeScratch& ws, double v_lo,
+                                            double v_hi) const;
   /// Ground-state occupation via the scratch workspace and the full path
   /// (no allocation after the first call).
   const std::vector<int>& occupation_with(ProbeScratch& ws, double v1,

@@ -40,12 +40,7 @@ class VoltageAxis {
   /// from zero like std::round). Inline: playback calls it twice per probe.
   /// NaN and voltages past the last pixel map to the last index.
   [[nodiscard]] std::size_t nearest_index(double voltage) const noexcept {
-    return nearest_of_index(index_of(voltage));
-  }
-
-  /// nearest_index's clamp and rounding of a continuous index, for callers
-  /// that compute index_of themselves (CsdPlayback divides both axes at once).
-  [[nodiscard]] std::size_t nearest_of_index(double idx) const noexcept {
+    const double idx = index_of(voltage);
     const std::size_t last = count_ - 1;
     if (!(idx < static_cast<double>(last))) return last;
     if (!(idx > 0.0)) return 0;

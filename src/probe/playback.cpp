@@ -1,32 +1,17 @@
 #include "probe/playback.hpp"
 
 #include "common/assert.hpp"
-#include "common/simd.hpp"
 
 namespace qvg {
 
 CsdPlayback::CsdPlayback(const Csd& csd, double dwell_seconds)
-    : csd_(csd),
-      origin_{csd.x_axis().start(), csd.y_axis().start()},
-      step_{csd.x_axis().step(), csd.y_axis().step()},
-      clock_(dwell_seconds) {
+    : csd_(csd), clock_(dwell_seconds) {
   QVG_EXPECTS(csd.width() > 0 && csd.height() > 0);
 }
 
-std::pair<std::size_t, std::size_t> CsdPlayback::pixel_of(double v1,
-                                                          double v2) const {
-  // VoltageAxis::index_of lane-wise: the same subtraction and division per
-  // lane, so each index is the scalar one bit for bit.
-  using Vec2 = simd::Vec<double, 2>;
-  const double v[2] = {v1, v2};
-  const Vec2 idx =
-      (Vec2::load(v) - Vec2::load(origin_)) / Vec2::load(step_);
-  return {csd_.x_axis().nearest_of_index(idx[0]),
-          csd_.y_axis().nearest_of_index(idx[1])};
-}
-
 double CsdPlayback::lookup(double v1, double v2) const {
-  const auto [x, y] = pixel_of(v1, v2);
+  const std::size_t x = csd_.x_axis().nearest_index(v1);
+  const std::size_t y = csd_.y_axis().nearest_index(v2);
   return csd_.current(x, y);
 }
 

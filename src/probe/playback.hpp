@@ -10,9 +10,6 @@
 #include "grid/csd.hpp"
 #include "probe/current_source.hpp"
 
-#include <cstddef>
-#include <utility>
-
 namespace qvg {
 
 class CsdPlayback final : public CurrentSource {
@@ -36,19 +33,11 @@ class CsdPlayback final : public CurrentSource {
 
   [[nodiscard]] const Csd& csd() const noexcept { return csd_; }
 
-  /// The pixel (x, y) nearest to (v1, v2), clamped into the window. Both
-  /// axes' index_of divisions run as one 2-lane division, bit-identical to
-  /// (x_axis().nearest_index(v1), y_axis().nearest_index(v2)).
-  [[nodiscard]] std::pair<std::size_t, std::size_t> pixel_of(double v1,
-                                                             double v2) const;
-
  private:
   /// The stored current nearest to (v1, v2); both entry points share it.
   [[nodiscard]] double lookup(double v1, double v2) const;
 
   const Csd& csd_;
-  double origin_[2];  // (x, y) axis starts
-  double step_[2];    // (x, y) axis steps
   SimClock clock_;
   long probes_ = 0;
 };

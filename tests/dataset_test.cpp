@@ -5,12 +5,9 @@
 
 #include "test_support.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
-#include <utility>
-#include <vector>
 
 namespace qvg {
 namespace {
@@ -215,48 +212,6 @@ TEST(QflowBenchmarkTest, PlaybackReplaysBenchmark) {
   const double v1 = benchmark.csd.y_axis().voltage(7);
   EXPECT_DOUBLE_EQ(playback->get_current(v0, v1), benchmark.csd.current(5, 7));
   EXPECT_DOUBLE_EQ(playback->clock().dwell_seconds(), 0.050);
-}
-
-TEST(QflowBenchmarkTest, PlaybackPixelMatchesScalarNearestIndex) {
-  // CsdPlayback divides both axes in one 2-lane division; every pixel it
-  // picks must be the scalar nearest_index pair, on all 12 suite axes:
-  // pixel centres, exact half-pixel voltages and their neighbours, voltages
-  // past either end, infinities and NaN.
-  for (const QflowBenchmark& benchmark : build_qflow_suite()) {
-    const VoltageAxis& x_axis = benchmark.csd.x_axis();
-    const VoltageAxis& y_axis = benchmark.csd.y_axis();
-    auto voltages = [](const VoltageAxis& axis) {
-      std::vector<double> v{-HUGE_VAL, -1e300, axis.start() - 7.5 * axis.step(),
-                            axis.end() + 3.25 * axis.step(), 1e300, HUGE_VAL,
-                            std::nan("")};
-      for (std::size_t i = 0; i < axis.count(); ++i) {
-        const double half = axis.voltage(static_cast<double>(i) - 0.5);
-        v.insert(v.end(), {axis.voltage(static_cast<double>(i)), half,
-                           std::nextafter(half, -HUGE_VAL),
-                           std::nextafter(half, HUGE_VAL)});
-      }
-      return v;
-    };
-    const std::vector<double> xs = voltages(x_axis);
-    const std::vector<double> ys = voltages(y_axis);
-    CsdPlayback playback(benchmark.csd);
-    std::size_t mismatches = 0;
-    auto check = [&](double vx, double vy) {
-      const std::pair<std::size_t, std::size_t> scalar{
-          x_axis.nearest_index(vx), y_axis.nearest_index(vy)};
-      if (playback.pixel_of(vx, vy) != scalar) ++mismatches;
-    };
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      check(xs[i], ys[(7 * i + 3) % ys.size()]);
-      check(xs[(5 * i + 1) % xs.size()], ys[i % ys.size()]);
-    }
-    for (std::size_t i = 0; i < 7; ++i)
-      for (std::size_t j = 0; j < ys.size(); ++j) {
-        check(xs[i], ys[j]);
-        check(xs[j % xs.size()], ys[i]);
-      }
-    EXPECT_EQ(mismatches, 0u) << benchmark.name();
-  }
 }
 
 }  // namespace

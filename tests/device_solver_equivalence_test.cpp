@@ -573,7 +573,6 @@ TEST(ScanPlanTest, GetCurrentsMatchesNaiveOnEveryPair) {
     ASSERT_GE(points.size(), 512u);
     for (const ScanPair& pair : every_pair(n)) {
       auto make = [&] { return pair_simulator(device, pair); };
-      EXPECT_TRUE(make().scan_window_enabled());
       expect_orders_match_naive(
           make, points,
           std::to_string(n) + " dots, gates " + std::to_string(pair.gate_x) +
@@ -588,34 +587,31 @@ TEST(ScanPlanTest, FallbacksMatchNaive) {
   const CapacitanceModel& model = device.model;
 
   // A scanned lever arm with its sign bit set (-0.0 is the only one the
-  // model admits): every probe runs the full path.
+  // model admits): it adds a zero of either sign, so the window stays exact.
   Matrix alpha = model.lever_arms();
   alpha(9, 1) = -0.0;
   const CapacitanceModel signed_zero(alpha, model.charging_energies(),
                                      model.mutual_coupling(), model.offsets());
-  auto full = [&] {
+  auto signed_lever = [&] {
     return DeviceSimulator(signed_zero, sensor_for_pair(device, 1),
                            device.base_voltages, ScanPair{1, 2, 1, 2});
   };
-  EXPECT_FALSE(full().scan_window_enabled());
-  expect_orders_match_naive(full, points, "signed-zero lever");
+  expect_orders_match_naive(signed_lever, points, "signed-zero lever");
 
-  // A negative sensor shift: gamma_i * 0 is -0, so the detuning keeps every
-  // dot's term on the candidate path.
+  // A negative sensor shift: gamma_i * 0 is -0, which the detuning must
+  // carry like the unplanned sum does.
   SensorConfig sensor = sensor_for_pair(device, 4);
   sensor.gamma[11] = -0.4e-3;
   auto negative_gamma = [&] {
     return DeviceSimulator(model, sensor, device.base_voltages,
                            ScanPair{4, 5, 4, 5});
   };
-  EXPECT_TRUE(negative_gamma().scan_window_enabled());
   expect_orders_match_naive(negative_gamma, points, "negative gamma");
 
   // At or below kExhaustiveDotLimit dots the whole model is solved (a
   // coarser grid: the reference enumerates all 5^7 states per probe).
   const BuiltDevice small = jittered_array(7);
   auto seven = [&] { return make_pair_simulator(small, 2); };
-  EXPECT_FALSE(seven().scan_window_enabled());
   expect_orders_match_naive(seven, widened_grid(small, 8), "7 dots");
 
   // Non-finite voltages take the full path; the reference agrees on them.
