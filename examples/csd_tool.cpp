@@ -126,8 +126,9 @@ int print_array_outcome(const qvg::ArrayExtractionResult& result,
     std::cout << "array extraction FAILED ["
               << error_code_name(result.status.code()) << "] at stage '"
               << result.status.stage() << "': " << result.status.detail()
-              << " (after " << result.total_stats.unique_probes
-              << " probes)\n";
+              << " (after " << result.total_stats.total_requests
+              << " probe requests, " << result.total_stats.unique_probes
+              << " unique probes)\n";
     return array_exit_code(result.status);
   }
   std::cout << "array extraction succeeded (" << dots << " dots, "
@@ -194,7 +195,9 @@ int print_outcome(const ReportT& report, const std::string& method,
     std::cout << "extraction " << (interrupted ? "INTERRUPTED [" : "FAILED [")
               << error_code_name(report.status.code()) << "] at stage '"
               << report.status.stage() << "': " << report.status.detail()
-              << " (after " << report.stats.unique_probes << " probes)\n";
+              << " (after " << report.stats.total_requests
+              << " probe requests, " << report.stats.unique_probes
+              << " unique probes)\n";
     if (report.fault_stats.transient_faults > 0)
       std::cout << "  faults: " << report.fault_stats.transient_faults
                 << " transient, " << report.fault_stats.retries

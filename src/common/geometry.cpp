@@ -5,19 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
-#include <ostream>
 
 namespace qvg {
-
-std::ostream& operator<<(std::ostream& os, const Point2& p) {
-  return os << '(' << p.x << ", " << p.y << ')';
-}
-
-std::ostream& operator<<(std::ostream& os, const Pixel& p) {
-  return os << '(' << p.x << ", " << p.y << ')';
-}
-
-double distance(Point2 a, Point2 b) { return std::hypot(a.x - b.x, a.y - b.y); }
 
 double distance(Pixel a, Pixel b) {
   return std::hypot(static_cast<double>(a.x - b.x),
@@ -42,23 +31,10 @@ std::optional<Point2> Line2::intersect(const Line2& other) const {
   return Point2{x, y_at(x)};
 }
 
-double Line2::distance_to(Point2 p) const {
-  // Line as slope*x - y + intercept = 0.
-  return std::abs(slope_ * p.x - p.y + intercept_) /
-         std::sqrt(slope_ * slope_ + 1.0);
-}
-
 TriangleRegion::TriangleRegion(Point2 anchor_a, Point2 anchor_b)
     : a_(anchor_a), b_(anchor_b) {
   QVG_EXPECTS(a_.x < b_.x);
   QVG_EXPECTS(a_.y > b_.y);
-}
-
-bool TriangleRegion::contains(Point2 p) const {
-  if (p.x > b_.x || p.y > a_.y) return false;
-  // On or above the hypotenuse from A to B.
-  const Line2 hyp = hypotenuse();
-  return p.y >= hyp.y_at(p.x) - 1e-12;
 }
 
 std::optional<std::pair<double, double>> TriangleRegion::row_span(double y) const {
@@ -90,10 +66,6 @@ void TriangleRegion::move_anchor_a(Point2 a) {
   QVG_EXPECTS(a.x < b_.x);
   QVG_EXPECTS(a.y > b_.y);
   a_ = a;
-}
-
-double TriangleRegion::area() const noexcept {
-  return 0.5 * (b_.x - a_.x) * (a_.y - b_.y);
 }
 
 double angle_between_slopes_deg(double m1, double m2) {

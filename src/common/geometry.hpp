@@ -11,7 +11,6 @@
 
 #include <cmath>
 #include <compare>
-#include <iosfwd>
 #include <optional>
 
 namespace qvg {
@@ -27,8 +26,6 @@ struct Point2 {
   friend bool operator==(const Point2&, const Point2&) = default;
 };
 
-std::ostream& operator<<(std::ostream& os, const Point2& p);
-
 /// Integer pixel coordinate: x = column index, y = row index.
 struct Pixel {
   int x = 0;
@@ -42,9 +39,6 @@ struct Pixel {
   }
 };
 
-std::ostream& operator<<(std::ostream& os, const Pixel& p);
-
-[[nodiscard]] double distance(Point2 a, Point2 b);
 [[nodiscard]] double distance(Pixel a, Pixel b);
 
 /// An infinite, non-vertical line y = slope * x + intercept.
@@ -70,9 +64,6 @@ class Line2 {
   /// Intersection of two lines; nullopt when (near-)parallel.
   [[nodiscard]] std::optional<Point2> intersect(const Line2& other) const;
 
-  /// Perpendicular distance from a point to this line.
-  [[nodiscard]] double distance_to(Point2 p) const;
-
  private:
   double slope_ = 0.0;
   double intercept_ = 0.0;
@@ -95,10 +86,6 @@ class TriangleRegion {
   }
   [[nodiscard]] Line2 hypotenuse() const { return Line2::through(a_, b_); }
 
-  /// True when the point lies inside or on the boundary of the triangle.
-  /// The paper uses the pixel *center* for this test (§4.3.2).
-  [[nodiscard]] bool contains(Point2 p) const;
-
   /// Horizontal segment of the triangle at height y: [x_min, x_max], or
   /// nullopt when the row does not intersect the region.
   [[nodiscard]] std::optional<std::pair<double, double>> row_span(double y) const;
@@ -113,8 +100,6 @@ class TriangleRegion {
 
   /// Move anchor A (used by the column-major sweep) while keeping B fixed.
   void move_anchor_a(Point2 a);
-
-  [[nodiscard]] double area() const noexcept;
 
  private:
   Point2 a_;  // upper-left anchor (shallow line)

@@ -88,13 +88,6 @@ bool Rng::bernoulli(double p) {
   return uniform() < p;
 }
 
-double Rng::exponential(double rate) {
-  QVG_EXPECTS(rate > 0.0);
-  double u = uniform();
-  while (u <= 0.0) u = uniform();
-  return -std::log(u) / rate;
-}
-
 Rng Rng::split(std::uint64_t tag) const {
   // Derive a child seed from our state and the tag; mixing through
   // splitmix64 decorrelates the streams.

@@ -47,9 +47,6 @@ class Rng {
   /// Bernoulli trial with success probability p in [0, 1].
   bool bernoulli(double p);
 
-  /// Exponentially distributed value with the given rate (lambda > 0).
-  double exponential(double rate);
-
   /// Split off an independently seeded child generator. Children derived
   /// with distinct tags are statistically independent streams.
   [[nodiscard]] Rng split(std::uint64_t tag) const;

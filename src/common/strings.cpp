@@ -3,7 +3,6 @@
 #include "common/assert.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <sstream>
 
 namespace qvg {
@@ -35,14 +34,6 @@ std::vector<std::string> split(const std::string& s, char delim) {
   if (!s.empty() && s.back() == delim) out.emplace_back();
   if (s.empty()) out.emplace_back();
   return out;
-}
-
-std::string trim(const std::string& s) {
-  auto is_space = [](unsigned char c) { return std::isspace(c) != 0; };
-  auto begin = std::find_if_not(s.begin(), s.end(), is_space);
-  auto end = std::find_if_not(s.rbegin(), s.rend(), is_space).base();
-  if (begin >= end) return {};
-  return std::string(begin, end);
 }
 
 std::string render_table(const std::vector<std::string>& header,

@@ -18,9 +18,6 @@ namespace qvg {
 /// Split a string on a delimiter character; keeps empty fields.
 [[nodiscard]] std::vector<std::string> split(const std::string& s, char delim);
 
-/// Trim ASCII whitespace from both ends.
-[[nodiscard]] std::string trim(const std::string& s);
-
 /// Render a simple aligned text table. Every row must have the same number of
 /// columns as `header`. Used by the examples/paper_* programs to print
 /// Table-1-style summaries.

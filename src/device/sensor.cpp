@@ -45,10 +45,4 @@ double ChargeSensor::current(const std::vector<double>& gate_voltages,
   return current_at_detuning(detuning(gate_voltages, occupation));
 }
 
-double ChargeSensor::step_contrast(std::size_t dot, double u) const {
-  QVG_EXPECTS(dot < config_.gamma.size());
-  return std::abs(current_at_detuning(u) -
-                  current_at_detuning(u - config_.gamma[dot]));
-}
-
 }  // namespace qvg

@@ -53,11 +53,6 @@ class ChargeSensor {
   [[nodiscard]] double current(const std::vector<double>& gate_voltages,
                                const std::vector<int>& occupation) const;
 
-  /// Magnitude of the current step caused by loading one electron into
-  /// `dot`, evaluated at the given operating detuning. Used to calibrate
-  /// noise tiers (signal-to-noise) in the synthetic dataset.
-  [[nodiscard]] double step_contrast(std::size_t dot, double u) const;
-
  private:
   SensorConfig config_;
 };

@@ -56,12 +56,6 @@ void DeviceSimulator::set_scan_pair(ScanPair pair) {
   build_plan();
 }
 
-void DeviceSimulator::set_base_voltage(std::size_t gate, double voltage) {
-  QVG_EXPECTS(gate < base_voltages_.size());
-  base_voltages_[gate] = voltage;
-  build_plan();
-}
-
 void DeviceSimulator::build_plan() {
   const std::size_t n = model_.num_dots();
   const std::size_t gates = model_.num_gates();

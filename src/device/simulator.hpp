@@ -6,7 +6,7 @@
 // The scan plan. A pair scan moves two gates and rests every other one at
 // its base voltage, so most of each probe's arithmetic is the same at every
 // probe. The simulator folds it once, at construction and again on every
-// set_scan_pair / set_base_voltage, for each dot drive
+// set_scan_pair, for each dot drive
 // mu_i = -offset_i + sum_j alpha_ij V_j and for the sensor detuning
 // u0 + sum_j beta_j V_j:
 //
@@ -152,9 +152,6 @@ class DeviceSimulator final : public CurrentSource {
   /// Change the scanned gate pair (used by the n-dot array extractor as it
   /// walks neighbouring plunger pairs).
   void set_scan_pair(ScanPair pair);
-
-  /// Update a base (non-swept) gate voltage.
-  void set_base_voltage(std::size_t gate, double voltage);
 
   /// Charge-solver configuration. The constructor derives
   /// frontier.seed deterministically from the noise seed (the request

@@ -10,14 +10,6 @@
 
 namespace qvg {
 
-std::vector<Pixel> SweepResult::all_pixels() const {
-  std::vector<Pixel> out;
-  out.reserve(row_points.size() + col_points.size());
-  for (const auto& p : row_points) out.push_back(p.pixel);
-  for (const auto& p : col_points) out.push_back(p.pixel);
-  return out;
-}
-
 namespace {
 
 /// Integer pixel range [lo, hi] covered by a continuous span, using pixel

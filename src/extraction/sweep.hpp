@@ -66,8 +66,6 @@ struct SweepResult {
   Status status;
   std::vector<SweepPoint> row_points;  // from the row-major sweep
   std::vector<SweepPoint> col_points;  // from the column-major sweep
-
-  [[nodiscard]] std::vector<Pixel> all_pixels() const;
 };
 
 /// Run both sweeps from the given anchor pixels. Probing happens through

@@ -93,15 +93,4 @@ Csd warp_to_virtual(const Csd& csd, const VirtualGatePair& pair) {
   return out;
 }
 
-Matrix compose_array_virtualization(const std::vector<VirtualGatePair>& pairs) {
-  QVG_EXPECTS(!pairs.empty());
-  const std::size_t n = pairs.size() + 1;
-  Matrix m = Matrix::identity(n);
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    m(i, i + 1) = pairs[i].alpha12;
-    m(i + 1, i) = pairs[i].alpha21;
-  }
-  return m;
-}
-
 }  // namespace qvg

@@ -53,11 +53,4 @@ struct VirtualGatePair {
 /// input at (V1, V2) = M^-1 (V'1, V'2), clamped at the window border.
 [[nodiscard]] Csd warp_to_virtual(const Csd& csd, const VirtualGatePair& pair);
 
-/// Compose an n x n virtualization matrix for a linear array from the n-1
-/// nearest-neighbour pair extractions (paper §2.3: "n-1 sequentially
-/// executed extraction processes"). Couplings beyond nearest neighbours are
-/// not observable pairwise and are left at zero.
-[[nodiscard]] Matrix compose_array_virtualization(
-    const std::vector<VirtualGatePair>& pairs);
-
 }  // namespace qvg

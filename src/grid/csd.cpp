@@ -18,18 +18,4 @@ std::pair<double, double> Csd::current_range() const {
   return {*lo, *hi};
 }
 
-Csd Csd::cropped(std::size_t x0, std::size_t y0, std::size_t w,
-                 std::size_t h) const {
-  QVG_EXPECTS(w >= 1 && h >= 1);
-  QVG_EXPECTS(x0 + w <= width() && y0 + h <= height());
-  Csd out(VoltageAxis(x_axis_.voltage(static_cast<double>(x0)), x_axis_.step(), w),
-          VoltageAxis(y_axis_.voltage(static_cast<double>(y0)), y_axis_.step(), h));
-  for (std::size_t y = 0; y < h; ++y)
-    for (std::size_t x = 0; x < w; ++x)
-      out.grid()(x, y) = grid_(x0 + x, y0 + y);
-  out.truth_ = truth_;
-  out.name_ = name_;
-  return out;
-}
-
 }  // namespace qvg

@@ -71,12 +71,6 @@ class Csd {
   /// Min/max current over the whole diagram.
   [[nodiscard]] std::pair<double, double> current_range() const;
 
-  /// Crop to the pixel rectangle [x0, x0+w) x [y0, y0+h), preserving the
-  /// voltage mapping of the retained pixels. Mirrors the paper's evaluation,
-  /// which crops qflow diagrams to the central 50% region.
-  [[nodiscard]] Csd cropped(std::size_t x0, std::size_t y0, std::size_t w,
-                            std::size_t h) const;
-
   /// Full value equality: axes, pixels, truth, and name (wire round-trip
   /// tests pin bit-exact diagrams).
   friend bool operator==(const Csd&, const Csd&) = default;

@@ -8,19 +8,6 @@
 
 namespace qvg {
 
-InteriorSpan kernel_interior_span(std::ptrdiff_t extent, std::ptrdiff_t anchor,
-                                  std::ptrdiff_t ksize) noexcept {
-  // Position p is interior iff the whole window fits: p - anchor >= 0 and
-  // p - anchor + ksize <= extent. Kernels larger than the image produce an
-  // empty span (every pixel border-handled).
-  InteriorSpan span;
-  span.lo = anchor;
-  span.hi = extent - (ksize - 1 - anchor);
-  if (span.lo > extent) span.lo = extent;
-  if (span.hi < span.lo) span.hi = span.lo;
-  return span;
-}
-
 namespace {
 
 /// Source index for coordinate `v` on an axis of `n` pixels under `border`:
@@ -59,8 +46,8 @@ double sample(const GridD& image, std::ptrdiff_t x, std::ptrdiff_t y,
 /// 0.0 and adds its taps in ascending k, exactly the scalar reference loop.
 /// The SIMD interior keeps four VecD accumulators (4 * kLanes pixels) in
 /// registers per step, so consecutive taps' add latencies overlap; one
-/// vector at a time and a scalar tail finish the row. Every convolution
-/// path runs its pixels through here.
+/// vector at a time and a scalar tail finish the row. Both passes of
+/// correlate_separable run their pixels through here.
 void weighted_sum(const double* const* src, const double* w, std::size_t taps,
                   double* out, std::ptrdiff_t n) {
   using simd::VecD;
@@ -97,55 +84,10 @@ void weighted_sum(const double* const* src, const double* w, std::size_t taps,
   }
 }
 
-/// One nonzero kernel tap: offsets relative to the anchored output pixel.
-struct Tap {
-  std::ptrdiff_t dx;
-  std::ptrdiff_t dy;
-  double w;
-};
+}  // namespace
 
-/// Nonzero taps in the reference scan order (ky ascending, then kx), with
-/// the optional double flip applied as an index view. Skipping zero weights
-/// here matches the reference loop's per-tap `w == 0` skip for every pixel,
-/// so accumulation sequences stay identical.
-std::vector<Tap> collect_taps(const Kernel2D& kernel, bool flip,
-                              std::ptrdiff_t ax, std::ptrdiff_t ay) {
-  const auto kw = static_cast<std::ptrdiff_t>(kernel.width());
-  const auto kh = static_cast<std::ptrdiff_t>(kernel.height());
-  std::vector<Tap> taps;
-  taps.reserve(kernel.raw().size());
-  for (std::ptrdiff_t ky = 0; ky < kh; ++ky) {
-    for (std::ptrdiff_t kx = 0; kx < kw; ++kx) {
-      const std::ptrdiff_t sx = flip ? kw - 1 - kx : kx;
-      const std::ptrdiff_t sy = flip ? kh - 1 - ky : ky;
-      const double w = kernel(static_cast<std::size_t>(sx),
-                              static_cast<std::size_t>(sy));
-      if (w == 0.0) continue;
-      taps.push_back({kx - ax, ky - ay, w});
-    }
-  }
-  return taps;
-}
-
-/// Border-pixel accumulation through the boundary sampler, in tap order.
-double sampled_pixel(const GridD& image, std::ptrdiff_t x, std::ptrdiff_t y,
-                     const std::vector<Tap>& taps, BorderMode border) {
-  double acc = 0.0;
-  for (const Tap& t : taps) acc += t.w * sample(image, x + t.dx, y + t.dy, border);
-  return acc;
-}
-
-/// Shared correlation core, SIMD interior. `flip` selects true convolution
-/// (kernel mirrored in both axes) as an index view — no flipped copy is
-/// materialized. Row-parallel: every output row is written by exactly one
-/// chunk. Interior pixels (full window in bounds, via kernel_interior_span)
-/// run through weighted_sum with one source pointer per tap, in the
-/// reference scan order; the border columns/rows use the same tap sequence
-/// through the sampler, so every output pixel accumulates in exactly the
-/// reference order and the result is bit-identical to correlate_reference on
-/// all paths.
-GridD correlate_simd(const GridD& image, const Kernel2D& kernel,
-                     BorderMode border, bool flip) {
+GridD correlate_reference(const GridD& image, const Kernel2D& kernel,
+                          BorderMode border) {
   QVG_EXPECTS(!image.empty());
   QVG_EXPECTS(!kernel.empty());
   const auto kw = static_cast<std::ptrdiff_t>(kernel.width());
@@ -154,63 +96,6 @@ GridD correlate_simd(const GridD& image, const Kernel2D& kernel,
   const std::ptrdiff_t ay = kh / 2;
   const auto width = static_cast<std::ptrdiff_t>(image.width());
   const auto height = static_cast<std::ptrdiff_t>(image.height());
-  const std::vector<Tap> taps = collect_taps(kernel, flip, ax, ay);
-  std::vector<double> weights;
-  weights.reserve(taps.size());
-  for (const Tap& t : taps) weights.push_back(t.w);
-
-  const auto [xlo, xhi] = kernel_interior_span(width, ax, kw);
-  const auto [ylo, yhi] = kernel_interior_span(height, ay, kh);
-
-  GridD out(image.width(), image.height());
-  const double* src = image.raw().data();
-  double* dst = out.raw().data();
-
-  parallel_for_rows(image.height(), [&](std::size_t y0, std::size_t y1) {
-    std::vector<const double*> rows(taps.size());
-    for (std::size_t yu = y0; yu < y1; ++yu) {
-      const auto y = static_cast<std::ptrdiff_t>(yu);
-      double* out_row = dst + y * width;
-      if (y < ylo || y >= yhi) {
-        for (std::ptrdiff_t x = 0; x < width; ++x)
-          out_row[x] = sampled_pixel(image, x, y, taps, border);
-        continue;
-      }
-      for (std::ptrdiff_t x = 0; x < xlo; ++x)
-        out_row[x] = sampled_pixel(image, x, y, taps, border);
-      if (xhi > xlo) {  // else a tap's row view could point past the image
-        for (std::size_t k = 0; k < taps.size(); ++k)
-          rows[k] = src + (y + taps[k].dy) * width + xlo + taps[k].dx;
-        weighted_sum(rows.data(), weights.data(), taps.size(), out_row + xlo,
-                     xhi - xlo);
-      }
-      for (std::ptrdiff_t x = xhi; x < width; ++x)
-        out_row[x] = sampled_pixel(image, x, y, taps, border);
-    }
-  });
-  return out;
-}
-
-/// The scalar reference core (pre-SIMD implementation, kept verbatim as the
-/// equivalence ablation). Per-pixel interior test, same accumulation order.
-GridD correlate_impl_reference(const GridD& image, const Kernel2D& kernel,
-                               BorderMode border, bool flip) {
-  QVG_EXPECTS(!image.empty());
-  QVG_EXPECTS(!kernel.empty());
-  const auto kw = static_cast<std::ptrdiff_t>(kernel.width());
-  const auto kh = static_cast<std::ptrdiff_t>(kernel.height());
-  const std::ptrdiff_t ax = kw / 2;  // anchor: kernel center
-  const std::ptrdiff_t ay = kh / 2;
-  const auto width = static_cast<std::ptrdiff_t>(image.width());
-  const auto height = static_cast<std::ptrdiff_t>(image.height());
-
-  auto weight = [&](std::ptrdiff_t kx, std::ptrdiff_t ky) {
-    if (flip) {
-      kx = kw - 1 - kx;
-      ky = kh - 1 - ky;
-    }
-    return kernel(static_cast<std::size_t>(kx), static_cast<std::size_t>(ky));
-  };
 
   GridD out(image.width(), image.height());
   parallel_for_rows(image.height(), [&](std::size_t y0, std::size_t y1) {
@@ -223,7 +108,8 @@ GridD correlate_impl_reference(const GridD& image, const Kernel2D& kernel,
         if (y_interior && sx - ax >= 0 && sx - ax + kw <= width) {
           for (std::ptrdiff_t ky = 0; ky < kh; ++ky) {
             for (std::ptrdiff_t kx = 0; kx < kw; ++kx) {
-              const double w = weight(kx, ky);
+              const double w = kernel(static_cast<std::size_t>(kx),
+                                      static_cast<std::size_t>(ky));
               if (w == 0.0) continue;
               acc += w * image(static_cast<std::size_t>(sx + kx - ax),
                                static_cast<std::size_t>(sy + ky - ay));
@@ -232,7 +118,8 @@ GridD correlate_impl_reference(const GridD& image, const Kernel2D& kernel,
         } else {
           for (std::ptrdiff_t ky = 0; ky < kh; ++ky) {
             for (std::ptrdiff_t kx = 0; kx < kw; ++kx) {
-              const double w = weight(kx, ky);
+              const double w = kernel(static_cast<std::size_t>(kx),
+                                      static_cast<std::size_t>(ky));
               if (w == 0.0) continue;
               acc += w * sample(image, sx + kx - ax, sy + ky - ay, border);
             }
@@ -243,28 +130,6 @@ GridD correlate_impl_reference(const GridD& image, const Kernel2D& kernel,
     }
   });
   return out;
-}
-
-}  // namespace
-
-GridD correlate(const GridD& image, const Kernel2D& kernel, BorderMode border) {
-  return correlate_simd(image, kernel, border, /*flip=*/false);
-}
-
-GridD convolve(const GridD& image, const Kernel2D& kernel, BorderMode border) {
-  // Convolution = correlation with a doubly flipped kernel, applied as an
-  // index view instead of allocating and flipping a copy per call.
-  return correlate_simd(image, kernel, border, /*flip=*/true);
-}
-
-GridD correlate_reference(const GridD& image, const Kernel2D& kernel,
-                          BorderMode border) {
-  return correlate_impl_reference(image, kernel, border, /*flip=*/false);
-}
-
-GridD convolve_reference(const GridD& image, const Kernel2D& kernel,
-                         BorderMode border) {
-  return correlate_impl_reference(image, kernel, border, /*flip=*/true);
 }
 
 GridD correlate_separable(const GridD& image, const std::vector<double>& taps_x,

@@ -14,35 +14,6 @@ GridD gaussian_blur(const GridD& image, double sigma) {
   return correlate_separable(image, taps, taps, BorderMode::kReflect);
 }
 
-GridD median_filter(const GridD& image, int radius) {
-  QVG_EXPECTS(radius >= 0);
-  if (radius == 0) return image;
-  GridD out(image.width(), image.height());
-  std::vector<double> window;
-  window.reserve(static_cast<std::size_t>((2 * radius + 1) * (2 * radius + 1)));
-  for (std::size_t y = 0; y < image.height(); ++y) {
-    for (std::size_t x = 0; x < image.width(); ++x) {
-      window.clear();
-      for (int dy = -radius; dy <= radius; ++dy)
-        for (int dx = -radius; dx <= radius; ++dx)
-          window.push_back(image.clamped(static_cast<std::ptrdiff_t>(x) + dx,
-                                         static_cast<std::ptrdiff_t>(y) + dy));
-      auto mid = window.begin() + static_cast<std::ptrdiff_t>(window.size() / 2);
-      std::nth_element(window.begin(), mid, window.end());
-      out(x, y) = *mid;
-    }
-  }
-  return out;
-}
-
-GridD box_blur(const GridD& image, int radius) {
-  QVG_EXPECTS(radius >= 0);
-  if (radius == 0) return image;
-  const auto n = static_cast<std::size_t>(2 * radius + 1);
-  std::vector<double> taps(n, 1.0 / static_cast<double>(n));
-  return correlate_separable(image, taps, taps, BorderMode::kReplicate);
-}
-
 GridD normalize01(const GridD& image) {
   QVG_EXPECTS(!image.empty());
   // One branch-free pass with four independent min/max chains (a single

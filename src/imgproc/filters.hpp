@@ -8,12 +8,6 @@ namespace qvg {
 /// Separable Gaussian blur.
 [[nodiscard]] GridD gaussian_blur(const GridD& image, double sigma);
 
-/// Median filter with a square window of given radius (window side 2r+1).
-[[nodiscard]] GridD median_filter(const GridD& image, int radius);
-
-/// Box blur with a square window of given radius.
-[[nodiscard]] GridD box_blur(const GridD& image, int radius);
-
 /// Normalize image values to [0, 1] (constant images map to all zeros).
 [[nodiscard]] GridD normalize01(const GridD& image);
 

@@ -19,12 +19,6 @@ std::optional<double> HoughLine::slope() const {
   return -std::cos(theta) / s;
 }
 
-std::optional<double> HoughLine::intercept() const {
-  const double s = std::sin(theta);
-  if (std::abs(s) < 1e-6) return std::nullopt;
-  return rho / s;
-}
-
 HoughAccumulator hough_accumulate(const GridU8& edges, const HoughOptions& opt) {
   QVG_EXPECTS(opt.rho_resolution > 0.0);
   QVG_EXPECTS(opt.theta_resolution_deg > 0.0);

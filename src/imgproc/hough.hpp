@@ -19,8 +19,6 @@ struct HoughLine {
 
   /// Slope dy/dx of the line; nullopt for (near-)vertical lines.
   [[nodiscard]] std::optional<double> slope() const;
-  /// y-intercept; nullopt for (near-)vertical lines.
-  [[nodiscard]] std::optional<double> intercept() const;
 };
 
 /// How hough_accumulate walks (edge point, theta) space.

@@ -41,15 +41,6 @@ std::vector<double> gaussian_taps(double sigma, int radius) {
   return taps;
 }
 
-Kernel2D gaussian_kernel(double sigma, int radius) {
-  const auto taps = gaussian_taps(sigma, radius);
-  const std::size_t n = taps.size();
-  Kernel2D k(n, n);
-  for (std::size_t y = 0; y < n; ++y)
-    for (std::size_t x = 0; x < n; ++x) k(x, y) = taps[x] * taps[y];
-  return k;
-}
-
 Kernel2D sobel_x_kernel() {
   return from_matrix_rows({{-1, 0, 1},
                            {-2, 0, 2},
@@ -78,12 +69,6 @@ Kernel2D paper_mask_y() {
                            {3, 0, -3},
                            {4, 2, 1},
                            {4, 2, 1}});
-}
-
-double kernel_sum(const Kernel2D& k) {
-  double acc = 0.0;
-  for (double v : k.raw()) acc += v;
-  return acc;
 }
 
 }  // namespace qvg

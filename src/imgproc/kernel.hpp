@@ -16,9 +16,6 @@ using Kernel2D = Grid2D<double>;
 /// Normalized to sum 1.
 [[nodiscard]] std::vector<double> gaussian_taps(double sigma, int radius = -1);
 
-/// Separable 2-D Gaussian as an explicit kernel (for tests / reference path).
-[[nodiscard]] Kernel2D gaussian_kernel(double sigma, int radius = -1);
-
 /// 3x3 Sobel derivative kernels. sobel_x responds to horizontal gradients
 /// (changes along x), sobel_y to vertical gradients.
 [[nodiscard]] Kernel2D sobel_x_kernel();
@@ -33,8 +30,5 @@ using Kernel2D = Grid2D<double>;
 /// The paper's Mask_y (5 rows x 3 columns): swept along the y axis to find
 /// the anchor point on the shallow (0,0)->(0,1) transition line.
 [[nodiscard]] Kernel2D paper_mask_y();
-
-/// Sum of kernel entries (0 for the paper masks and Sobel by construction).
-[[nodiscard]] double kernel_sum(const Kernel2D& k);
 
 }  // namespace qvg

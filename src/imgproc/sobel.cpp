@@ -17,9 +17,10 @@ namespace {
 /// gx, gy and the magnitude of one pixel (V = double) or of VecD::kLanes
 /// adjacent pixels (V = VecD) from the 3x3 neighbourhood n[row][col], row 0
 /// at y - 1 and col 0 at x - 1. Each gradient starts at 0.0 and adds the six
-/// nonzero Sobel taps in collect_taps order (kernel row ky ascending, then
-/// kx; the kernels store their bottom matrix row at ky = 0), so the sums
-/// are bit-identical to correlate() with sobel_x_kernel / sobel_y_kernel.
+/// nonzero Sobel taps in correlate_reference's scan order (kernel row ky
+/// ascending, then kx; the kernels store their bottom matrix row at
+/// ky = 0), so the sums are bit-identical to correlate_reference with
+/// sobel_x_kernel / sobel_y_kernel.
 /// Always inlined: the whole neighbourhood has to stay in registers.
 template <typename V>
 [[gnu::always_inline]] inline void sobel_pixel(const V (&n)[3][3], V& gx,

@@ -2,11 +2,11 @@
 //
 // sobel_gradients is one fused, row-parallel pass over the replicate-border
 // image: per pixel it adds the six nonzero taps of each 3x3 kernel in
-// collect_taps order (so gx / gy are bit-identical to correlate() with
-// sobel_x_kernel / sobel_y_kernel) and evaluates the magnitude
-// sqrt(gx^2 + gy^2) in the same registers, VecD lanes at a time with a
-// scalar border. sobel_gradients_reference
-// keeps the original std::hypot form as the exact-path ablation. The two
+// correlate_reference's scan order (so gx / gy are bit-identical to
+// correlate_reference with sobel_x_kernel / sobel_y_kernel) and evaluates
+// the magnitude sqrt(gx^2 + gy^2) in the same registers, VecD lanes at a
+// time with a scalar border. sobel_gradients_reference keeps the original
+// std::hypot form as the exact-path ablation. The two
 // agree to a small ULP bound (hypot is correctly rounded; the sqrt form
 // rounds the two squarings and the sum first) — the bound is pinned by the
 // sobel equivalence test, and gx/gy are bit-identical between the two.

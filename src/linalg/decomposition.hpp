@@ -21,14 +21,9 @@ class LuDecomposition {
   /// Solve A X = B column-wise.
   [[nodiscard]] Matrix solve(const Matrix& b) const;
 
-  [[nodiscard]] double determinant() const;
-
-  [[nodiscard]] std::size_t size() const noexcept { return lu_.rows(); }
-
  private:
   Matrix lu_;                     // packed L (below diag) and U (on/above diag)
   std::vector<std::size_t> piv_;  // row permutation
-  int pivot_sign_ = 1;
 };
 
 /// Householder QR decomposition of an m x n matrix with m >= n.
@@ -40,11 +35,6 @@ class QrDecomposition {
   /// Least-squares solution of A x = b (b.size() == rows of A).
   /// Throws NumericalError when A is rank deficient.
   [[nodiscard]] std::vector<double> solve(const std::vector<double>& b) const;
-
-  /// Upper-triangular factor R (n x n).
-  [[nodiscard]] Matrix r() const;
-
-  [[nodiscard]] bool full_rank() const noexcept;
 
  private:
   Matrix qr_;                  // packed Householder vectors + R

@@ -3,16 +3,10 @@
 #include "common/assert.hpp"
 #include "common/error.hpp"
 #include "linalg/decomposition.hpp"
-#include "linalg/stats.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 namespace qvg {
-
-std::vector<double> lstsq(const Matrix& a, const std::vector<double>& b) {
-  return QrDecomposition(a).solve(b);
-}
 
 LineFit fit_line(const std::vector<double>& x, const std::vector<double>& y) {
   QVG_EXPECTS(x.size() == y.size());
@@ -24,7 +18,7 @@ LineFit fit_line(const std::vector<double>& x, const std::vector<double>& y) {
     a(i, 0) = x[i];
     a(i, 1) = 1.0;
   }
-  const auto coef = lstsq(a, y);
+  const auto coef = QrDecomposition(a).solve(y);
 
   LineFit fit;
   fit.slope = coef[0];
@@ -36,66 +30,6 @@ LineFit fit_line(const std::vector<double>& x, const std::vector<double>& y) {
   }
   fit.rms_residual = std::sqrt(ss / static_cast<double>(n));
   return fit;
-}
-
-LineFit fit_line_theil_sen(const std::vector<double>& x,
-                           const std::vector<double>& y) {
-  QVG_EXPECTS(x.size() == y.size());
-  if (x.size() < 2) throw NumericalError("theil_sen: need at least 2 points");
-
-  std::vector<double> slopes;
-  slopes.reserve(x.size() * (x.size() - 1) / 2);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    for (std::size_t j = i + 1; j < x.size(); ++j) {
-      const double dx = x[j] - x[i];
-      if (std::abs(dx) < 1e-12) continue;
-      slopes.push_back((y[j] - y[i]) / dx);
-    }
-  }
-  if (slopes.empty())
-    throw NumericalError("theil_sen: all points share one x coordinate");
-
-  LineFit fit;
-  fit.slope = median(slopes);
-
-  std::vector<double> intercepts(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i)
-    intercepts[i] = y[i] - fit.slope * x[i];
-  fit.intercept = median(intercepts);
-
-  double ss = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double r = y[i] - (fit.slope * x[i] + fit.intercept);
-    ss += r * r;
-  }
-  fit.rms_residual = std::sqrt(ss / static_cast<double>(x.size()));
-  return fit;
-}
-
-std::vector<double> polyfit(const std::vector<double>& x,
-                            const std::vector<double>& y, int degree) {
-  QVG_EXPECTS(x.size() == y.size());
-  QVG_EXPECTS(degree >= 0);
-  if (x.size() < static_cast<std::size_t>(degree) + 1)
-    throw NumericalError("polyfit: not enough points for requested degree");
-
-  const std::size_t n = x.size();
-  const std::size_t m = static_cast<std::size_t>(degree) + 1;
-  Matrix a(n, m);
-  for (std::size_t i = 0; i < n; ++i) {
-    double p = 1.0;
-    for (std::size_t j = 0; j < m; ++j) {
-      a(i, j) = p;
-      p *= x[i];
-    }
-  }
-  return lstsq(a, y);
-}
-
-double polyval(const std::vector<double>& coeffs, double x) {
-  double acc = 0.0;
-  for (std::size_t i = coeffs.size(); i-- > 0;) acc = acc * x + coeffs[i];
-  return acc;
 }
 
 }  // namespace qvg

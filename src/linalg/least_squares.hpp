@@ -1,15 +1,9 @@
-// Linear least squares, polynomial fitting, and robust line fitting.
+// Linear least-squares line fitting.
 #pragma once
-
-#include "linalg/matrix.hpp"
 
 #include <vector>
 
 namespace qvg {
-
-/// Solution of min ||A x - b||_2 via Householder QR.
-[[nodiscard]] std::vector<double> lstsq(const Matrix& a,
-                                        const std::vector<double>& b);
 
 /// Result of a straight-line fit y = slope * x + intercept.
 struct LineFit {
@@ -19,24 +13,10 @@ struct LineFit {
   double rms_residual = 0.0;
 };
 
-/// Ordinary least-squares line fit through (x_i, y_i). Requires >= 2 points
-/// with distinct x. Throws NumericalError on a degenerate configuration.
+/// Ordinary least-squares line fit through (x_i, y_i), solved by Householder
+/// QR. Requires >= 2 points with distinct x. Throws NumericalError on a
+/// degenerate configuration.
 [[nodiscard]] LineFit fit_line(const std::vector<double>& x,
                                const std::vector<double>& y);
-
-/// Theil-Sen robust line estimator (median of pairwise slopes). Resistant to
-/// up to ~29% outliers; used to sanity-check transition-line fits against
-/// erroneous sweep points.
-[[nodiscard]] LineFit fit_line_theil_sen(const std::vector<double>& x,
-                                         const std::vector<double>& y);
-
-/// Least-squares polynomial fit of given degree; returns coefficients in
-/// ascending power order (c0 + c1 x + ...).
-[[nodiscard]] std::vector<double> polyfit(const std::vector<double>& x,
-                                          const std::vector<double>& y,
-                                          int degree);
-
-/// Evaluate a polynomial with ascending-power coefficients at x.
-[[nodiscard]] double polyval(const std::vector<double>& coeffs, double x);
 
 }  // namespace qvg

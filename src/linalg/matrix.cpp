@@ -2,9 +2,6 @@
 
 #include "common/assert.hpp"
 
-#include <cmath>
-#include <ostream>
-
 namespace qvg {
 
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
@@ -26,53 +23,6 @@ Matrix Matrix::identity(std::size_t n) {
   return m;
 }
 
-double& Matrix::at(std::size_t r, std::size_t c) {
-  QVG_EXPECTS(r < rows_ && c < cols_);
-  return data_[r * cols_ + c];
-}
-
-double Matrix::at(std::size_t r, std::size_t c) const {
-  QVG_EXPECTS(r < rows_ && c < cols_);
-  return data_[r * cols_ + c];
-}
-
-Matrix Matrix::transposed() const {
-  Matrix t(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = 0; c < cols_; ++c) t(c, r) = (*this)(r, c);
-  return t;
-}
-
-Matrix& Matrix::operator+=(const Matrix& rhs) {
-  QVG_EXPECTS(rows_ == rhs.rows_ && cols_ == rhs.cols_);
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += rhs.data_[i];
-  return *this;
-}
-
-Matrix& Matrix::operator-=(const Matrix& rhs) {
-  QVG_EXPECTS(rows_ == rhs.rows_ && cols_ == rhs.cols_);
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= rhs.data_[i];
-  return *this;
-}
-
-Matrix& Matrix::operator*=(double s) {
-  for (double& v : data_) v *= s;
-  return *this;
-}
-
-Matrix operator*(const Matrix& a, const Matrix& b) {
-  QVG_EXPECTS(a.cols() == b.rows());
-  Matrix out(a.rows(), b.cols(), 0.0);
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t k = 0; k < a.cols(); ++k) {
-      const double aik = a(i, k);
-      if (aik == 0.0) continue;
-      for (std::size_t j = 0; j < b.cols(); ++j) out(i, j) += aik * b(k, j);
-    }
-  }
-  return out;
-}
-
 std::vector<double> Matrix::apply(const std::vector<double>& v) const {
   QVG_EXPECTS(v.size() == cols_);
   std::vector<double> out(rows_, 0.0);
@@ -83,40 +33,5 @@ std::vector<double> Matrix::apply(const std::vector<double>& v) const {
   }
   return out;
 }
-
-double Matrix::norm() const {
-  double acc = 0.0;
-  for (double v : data_) acc += v * v;
-  return std::sqrt(acc);
-}
-
-double Matrix::max_abs_diff(const Matrix& other) const {
-  QVG_EXPECTS(rows_ == other.rows_ && cols_ == other.cols_);
-  double worst = 0.0;
-  for (std::size_t i = 0; i < data_.size(); ++i)
-    worst = std::max(worst, std::abs(data_[i] - other.data_[i]));
-  return worst;
-}
-
-std::ostream& operator<<(std::ostream& os, const Matrix& m) {
-  os << '[';
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    if (r > 0) os << "; ";
-    for (std::size_t c = 0; c < m.cols(); ++c) {
-      if (c > 0) os << ", ";
-      os << m(r, c);
-    }
-  }
-  return os << ']';
-}
-
-double dot(const std::vector<double>& a, const std::vector<double>& b) {
-  QVG_EXPECTS(a.size() == b.size());
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];
-  return acc;
-}
-
-double norm(const std::vector<double>& v) { return std::sqrt(dot(v, v)); }
 
 }  // namespace qvg

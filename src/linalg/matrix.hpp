@@ -5,7 +5,6 @@
 
 #include <cstddef>
 #include <initializer_list>
-#include <iosfwd>
 #include <vector>
 
 namespace qvg {
@@ -27,11 +26,7 @@ class Matrix {
   [[nodiscard]] bool empty() const noexcept { return data_.empty(); }
   [[nodiscard]] bool is_square() const noexcept { return rows_ == cols_; }
 
-  /// Bounds-checked element access.
-  [[nodiscard]] double& at(std::size_t r, std::size_t c);
-  [[nodiscard]] double at(std::size_t r, std::size_t c) const;
-
-  /// Unchecked element access for hot loops.
+  /// Unchecked element access.
   double& operator()(std::size_t r, std::size_t c) noexcept {
     return data_[r * cols_ + c];
   }
@@ -46,28 +41,8 @@ class Matrix {
     return data_.data() + r * cols_;
   }
 
-  [[nodiscard]] Matrix transposed() const;
-
-  Matrix& operator+=(const Matrix& rhs);
-  Matrix& operator-=(const Matrix& rhs);
-  Matrix& operator*=(double s);
-
-  friend Matrix operator+(Matrix lhs, const Matrix& rhs) { return lhs += rhs; }
-  friend Matrix operator-(Matrix lhs, const Matrix& rhs) { return lhs -= rhs; }
-  friend Matrix operator*(Matrix lhs, double s) { return lhs *= s; }
-  friend Matrix operator*(double s, Matrix rhs) { return rhs *= s; }
-
-  /// Matrix product; dimensions must be compatible.
-  friend Matrix operator*(const Matrix& a, const Matrix& b);
-
   /// Matrix-vector product; v.size() must equal cols().
   [[nodiscard]] std::vector<double> apply(const std::vector<double>& v) const;
-
-  /// Frobenius norm.
-  [[nodiscard]] double norm() const;
-
-  /// Max absolute element difference with another same-shape matrix.
-  [[nodiscard]] double max_abs_diff(const Matrix& other) const;
 
   friend bool operator==(const Matrix&, const Matrix&) = default;
 
@@ -76,13 +51,5 @@ class Matrix {
   std::size_t cols_ = 0;
   std::vector<double> data_;
 };
-
-std::ostream& operator<<(std::ostream& os, const Matrix& m);
-
-/// Dot product of equally sized vectors.
-[[nodiscard]] double dot(const std::vector<double>& a, const std::vector<double>& b);
-
-/// Euclidean norm of a vector.
-[[nodiscard]] double norm(const std::vector<double>& v);
 
 }  // namespace qvg

@@ -4,16 +4,8 @@
 
 namespace qvg {
 
-std::vector<double> solve(const Matrix& a, const std::vector<double>& b) {
-  return LuDecomposition(a).solve(b);
-}
-
 Matrix inverse(const Matrix& a) {
   return LuDecomposition(a).solve(Matrix::identity(a.rows()));
-}
-
-double determinant(const Matrix& a) {
-  return LuDecomposition(a).determinant();
 }
 
 }  // namespace qvg

@@ -1,20 +1,11 @@
-// Convenience linear-system routines on top of the decompositions.
+// Matrix inverse on top of the LU decomposition.
 #pragma once
 
 #include "linalg/matrix.hpp"
 
-#include <vector>
-
 namespace qvg {
-
-/// Solve A x = b for square A. Throws NumericalError when singular.
-[[nodiscard]] std::vector<double> solve(const Matrix& a,
-                                        const std::vector<double>& b);
 
 /// Matrix inverse. Throws NumericalError when singular.
 [[nodiscard]] Matrix inverse(const Matrix& a);
-
-/// Determinant via LU.
-[[nodiscard]] double determinant(const Matrix& a);
 
 }  // namespace qvg

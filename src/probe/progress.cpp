@@ -3,12 +3,10 @@
 namespace qvg {
 
 struct ProgressSink::State {
-  // Serializes delivery: held across the callback so events arrive one at a
-  // time in sequence order, without holding `mutex` (so a callback may call
-  // latest() freely; re-entering report() would self-deadlock and is
-  // forbidden by contract).
-  std::mutex delivery_mutex;
-  mutable std::mutex mutex;  // guards everything below
+  // Held across the callback, so events arrive one at a time in sequence
+  // order (re-entering report() would self-deadlock and is forbidden by
+  // contract).
+  std::mutex mutex;
   ProgressEvent latest;
   bool any = false;
   std::size_t next_sequence = 0;
@@ -30,34 +28,22 @@ ProgressSink ProgressSink::make(Callback on_event) {
 void ProgressSink::report(const char* stage, long probes_used) const {
   if (!state_) return;
   const Clock::time_point now = Clock::now();
-  std::lock_guard<std::mutex> delivery(state_->delivery_mutex);
-  ProgressEvent event;
-  {
-    std::lock_guard<std::mutex> lock(state_->mutex);
-    if (!state_->started) {
-      state_->started = true;
-      state_->start = now;
-    }
-    ProgressEvent& latest = state_->latest;
-    if (probes_used < 0) probes_used = state_->any ? latest.probes_used : 0;
-    latest.stage = stage;
-    latest.probes_used = probes_used;
-    latest.elapsed_seconds =
-        std::chrono::duration<double>(now - state_->start).count();
-    latest.sequence = state_->next_sequence++;
-    latest.timestamp_seconds =
-        std::chrono::duration<double>(now.time_since_epoch()).count();
-    state_->any = true;
-    event = latest;
-  }
-  if (state_->on_event) state_->on_event(event);
-}
-
-std::optional<ProgressEvent> ProgressSink::latest() const {
-  if (!state_) return std::nullopt;
   std::lock_guard<std::mutex> lock(state_->mutex);
-  if (!state_->any) return std::nullopt;
-  return state_->latest;
+  if (!state_->started) {
+    state_->started = true;
+    state_->start = now;
+  }
+  ProgressEvent& latest = state_->latest;
+  if (probes_used < 0) probes_used = state_->any ? latest.probes_used : 0;
+  latest.stage = stage;
+  latest.probes_used = probes_used;
+  latest.elapsed_seconds =
+      std::chrono::duration<double>(now - state_->start).count();
+  latest.sequence = state_->next_sequence++;
+  latest.timestamp_seconds =
+      std::chrono::duration<double>(now.time_since_epoch()).count();
+  state_->any = true;
+  if (state_->on_event) state_->on_event(latest);
 }
 
 }  // namespace qvg

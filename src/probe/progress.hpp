@@ -4,8 +4,7 @@
 // and batch boundary; a ProgressSink rides inside the context and turns
 // those same boundaries into a stream of ProgressEvents (stage name, probes
 // issued so far, wall-clock elapsed since the sink was armed). The service
-// layer attaches one sink per job, exposing the latest snapshot through
-// JobHandle::progress() and forwarding every event to an optional
+// layer attaches one sink per job and forwards every event to an optional
 // per-submit callback.
 //
 // Like CancelToken, a default-constructed sink is empty: report() is a
@@ -21,7 +20,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 
 namespace qvg {
@@ -58,14 +56,13 @@ class ProgressSink {
   using Callback = std::function<void(const ProgressEvent&)>;
   using Clock = std::chrono::steady_clock;
 
-  /// Empty sink: report() is a no-op, latest() is nullopt.
+  /// Empty sink: report() is a no-op.
   ProgressSink() = default;
 
   /// A live sink. `on_event` (optional) is invoked for every reported
   /// boundary, serialized and in order; it runs on whichever thread hit the
-  /// boundary, so it must be fast. The callback may read latest() (the
-  /// snapshot mutex is not held during delivery) but must not call report()
-  /// or block on the sink's own job.
+  /// boundary, so it must be fast. It must not call report() or block on
+  /// the sink's own job.
   [[nodiscard]] static ProgressSink make(Callback on_event = {});
 
   /// Whether events are being collected.
@@ -74,10 +71,6 @@ class ProgressSink {
   /// Record a stage/batch boundary. `probes_used < 0` means "not sampled
   /// here"; the event repeats the previous sample. No-op on an empty sink.
   void report(const char* stage, long probes_used) const;
-
-  /// Latest event snapshot; nullopt before the first report (or on an
-  /// empty sink).
-  [[nodiscard]] std::optional<ProgressEvent> latest() const;
 
  private:
   struct State;

@@ -8,9 +8,4 @@ SimClock::SimClock(double dwell_seconds) : dwell_(dwell_seconds) {
   QVG_EXPECTS(dwell_seconds >= 0.0);
 }
 
-void SimClock::set_dwell_seconds(double dwell) {
-  QVG_EXPECTS(dwell >= 0.0);
-  dwell_ = dwell;
-}
-
 }  // namespace qvg

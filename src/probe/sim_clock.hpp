@@ -13,7 +13,6 @@ class SimClock {
   explicit SimClock(double dwell_seconds = 0.050);
 
   [[nodiscard]] double dwell_seconds() const noexcept { return dwell_; }
-  void set_dwell_seconds(double dwell);
 
   /// Charge one probe (dwell) to the clock.
   void charge_probe() noexcept { elapsed_ += dwell_; }

@@ -54,11 +54,6 @@ bool JobHandle::cancel() const {
   return true;
 }
 
-std::optional<ProgressEvent> JobHandle::progress() const {
-  if (!state_) return std::nullopt;
-  return state_->progress.latest();
-}
-
 std::optional<ExtractionReport> JobHandle::try_report() const {
   if (!state_) return std::nullopt;
   std::lock_guard<std::mutex> lock(state_->mutex);
@@ -364,21 +359,6 @@ void JobQueue::wait_all() const {
   std::unique_lock<std::mutex> lock(shared_->mutex);
   shared_->all_done_cv.wait(
       lock, [&] { return shared_->completed == shared_->submitted; });
-}
-
-std::size_t JobQueue::submitted() const {
-  std::lock_guard<std::mutex> lock(shared_->mutex);
-  return shared_->submitted;
-}
-
-std::size_t JobQueue::completed() const {
-  std::lock_guard<std::mutex> lock(shared_->mutex);
-  return shared_->completed;
-}
-
-std::size_t JobQueue::pending() const {
-  std::lock_guard<std::mutex> lock(shared_->mutex);
-  return shared_->pending.size();
 }
 
 QueueStats JobQueue::stats() const {

@@ -10,7 +10,6 @@
 //   JobHandle handle = jobs.submit(request);            // returns immediately
 //   JobHandle urgent = jobs.submit(request2, {.priority = Priority::kInteractive});
 //   ...
-//   urgent.progress();                                  // latest stage/probes/elapsed
 //   handle.cancel();                                    // stops it cooperatively
 //   const ExtractionReport& report = handle.wait();     // or try_report()
 //
@@ -51,8 +50,7 @@
 // AcquisitionContext, so an interrupted job stops between probe batches
 // (never mid-batch) and reports a typed kCancelled / kDeadlineExceeded /
 // kBudgetExhausted Status with the ProbeStats of the partial run. The same
-// batch boundaries feed each job's ProgressSink: JobHandle::progress()
-// returns the latest (stage, probes, elapsed) snapshot, and
+// batch boundaries feed each job's ProgressSink, and
 // SubmitOptions::on_progress streams every event as it happens.
 #pragma once
 
@@ -132,10 +130,6 @@ class JobHandle {
   /// this call caused.
   bool cancel() const;
 
-  /// Latest progress event (stage, probes, elapsed) reported by the running
-  /// job; nullopt before the job's first stage boundary.
-  [[nodiscard]] std::optional<ProgressEvent> progress() const;
-
   /// The report when the job has finished; std::nullopt while it runs.
   [[nodiscard]] std::optional<ExtractionReport> try_report() const;
 
@@ -187,6 +181,7 @@ struct TenantStats {
 struct QueueStats {
   std::size_t submitted = 0;
   std::size_t completed = 0;
+  /// Jobs accepted but not yet picked up by a worker.
   std::size_t pending = 0;
   std::size_t rejected = 0;
   /// Instrument-driver aggregates, accumulated from the FaultStats of every
@@ -237,10 +232,6 @@ class JobQueue {
   /// Block until every job submitted so far has finished.
   void wait_all() const;
 
-  [[nodiscard]] std::size_t submitted() const;
-  [[nodiscard]] std::size_t completed() const;
-  /// Jobs accepted but not yet picked up by a worker.
-  [[nodiscard]] std::size_t pending() const;
   /// One consistent snapshot of the queue-wide and per-tenant counters.
   [[nodiscard]] QueueStats stats() const;
 

@@ -113,14 +113,6 @@ TEST(RngTest, BernoulliDegenerate) {
   }
 }
 
-TEST(RngTest, ExponentialMean) {
-  Rng rng(16);
-  const int n = 100000;
-  double sum = 0.0;
-  for (int i = 0; i < n; ++i) sum += rng.exponential(2.0);
-  EXPECT_NEAR(sum / n, 0.5, 0.02);
-}
-
 TEST(RngTest, SplitStreamsAreIndependent) {
   Rng base(17);
   Rng child1 = base.split(1);
@@ -136,7 +128,6 @@ TEST(RngTest, ContractViolationsThrow) {
   EXPECT_THROW(rng.uniform(3.0, 1.0), ContractViolation);
   EXPECT_THROW(rng.normal(0.0, -1.0), ContractViolation);
   EXPECT_THROW(rng.bernoulli(1.5), ContractViolation);
-  EXPECT_THROW(rng.exponential(0.0), ContractViolation);
 }
 
 }  // namespace

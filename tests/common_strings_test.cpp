@@ -40,14 +40,6 @@ TEST(SplitTest, EmptyString) {
   EXPECT_EQ(fields[0], "");
 }
 
-TEST(TrimTest, Whitespace) {
-  EXPECT_EQ(trim("  abc  "), "abc");
-  EXPECT_EQ(trim("\t x y \n"), "x y");
-  EXPECT_EQ(trim("   "), "");
-  EXPECT_EQ(trim(""), "");
-  EXPECT_EQ(trim("abc"), "abc");
-}
-
 TEST(RenderTableTest, AlignsColumns) {
   const auto table = render_table({"name", "value"}, {{"a", "1"}, {"bbbb", "22"}});
   EXPECT_NE(table.find("| name "), std::string::npos);

@@ -1,6 +1,7 @@
 #include "common/error.hpp"
 #include "device/noise.hpp"
-#include "linalg/stats.hpp"
+
+#include "moments.hpp"
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,10 @@
 
 namespace qvg {
 namespace {
+
+using testsupport::mean;
+using testsupport::stddev;
+using testsupport::variance;
 
 TEST(WhiteNoiseTest, MomentsMatch) {
   WhiteNoise noise(0.5);

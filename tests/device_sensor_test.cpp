@@ -60,14 +60,6 @@ TEST(ChargeSensorTest, ElectronLoadingDropsCurrentOnRisingFlank) {
   EXPECT_GT(after_dot0, after_both);
 }
 
-TEST(ChargeSensorTest, StepContrastPositiveAndOrdered) {
-  const ChargeSensor sensor(config_for_test());
-  // Nearer dot (larger gamma) must produce the bigger step.
-  const double u = -1.5e-3;
-  EXPECT_GT(sensor.step_contrast(0, u), sensor.step_contrast(1, u));
-  EXPECT_GT(sensor.step_contrast(1, u), 0.0);
-}
-
 TEST(ChargeSensorTest, BackgroundSlopeAdds) {
   auto config = config_for_test();
   config.background_slope = 10.0;
@@ -94,7 +86,6 @@ TEST(ChargeSensorTest, MismatchedVectorsThrow) {
   const ChargeSensor sensor(config_for_test());
   EXPECT_THROW((void)sensor.detuning({0.0}, {0, 0}), ContractViolation);
   EXPECT_THROW((void)sensor.detuning({0.0, 0.0}, {0}), ContractViolation);
-  EXPECT_THROW((void)sensor.step_contrast(5, 0.0), ContractViolation);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "device/dot_array.hpp"
-#include "linalg/stats.hpp"
+
+#include "moments.hpp"
 
 #include <gtest/gtest.h>
 
@@ -7,6 +8,9 @@
 
 namespace qvg {
 namespace {
+
+using testsupport::mean;
+using testsupport::stddev;
 
 BuiltDevice test_device(double jitter = 0.0, std::uint64_t seed = 1) {
   DotArrayParams params;
@@ -208,7 +212,9 @@ TEST(SimulatorTest, ScanPairValidation) {
   DeviceSimulator sim = make_pair_simulator(device);
   EXPECT_THROW(sim.set_scan_pair(ScanPair{0, 0, 0, 1}), ContractViolation);
   EXPECT_THROW(sim.set_scan_pair(ScanPair{0, 5, 0, 1}), ContractViolation);
-  EXPECT_THROW(sim.set_base_voltage(9, 0.0), ContractViolation);
+  // One base voltage per gate.
+  EXPECT_THROW(DeviceSimulator(device.model, device.sensor, {0.0}, ScanPair{}),
+               ContractViolation);
 }
 
 }  // namespace

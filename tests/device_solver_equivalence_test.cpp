@@ -341,18 +341,18 @@ TEST(RasterEquivalenceTest, NaiveMatchesFastAboveTheExhaustiveLimit) {
     Rng jitter(n);
     const BuiltDevice device = build_dot_array(params, &jitter);
     const VoltageAxis axis = scan_axis(device, 24);
-    DeviceSimulator sim = make_pair_simulator(device, 0);
-    expect_raster_lanes_agree(sim, axis);
+    expect_raster_lanes_agree(make_pair_simulator(device, 0), axis);
 
     const double centre = 0.5 * (params.window_lo + params.window_hi);
-    for (std::size_t g = n - raised; g < n; ++g)
-      sim.set_base_voltage(g, centre);
-    std::vector<double> voltages = sim.base_voltages();
+    std::vector<double> bases = device.base_voltages;
+    for (std::size_t g = n - raised; g < n; ++g) bases[g] = centre;
+    std::vector<double> voltages = bases;
     voltages[0] = voltages[1] = params.window_lo;
     std::vector<std::size_t> active;
     active_dots(device.model, device.model.dot_drives(voltages), active);
     EXPECT_EQ(active.size() > 7, n == 16) << n << " dots";
-    expect_raster_lanes_agree(sim, axis);
+    expect_raster_lanes_agree(
+        DeviceSimulator(device.model, device.sensor, bases, ScanPair{}), axis);
   }
 }
 
@@ -486,10 +486,15 @@ std::vector<ScanPair> every_pair(std::size_t n) {
   return pairs;
 }
 
-DeviceSimulator pair_simulator(const BuiltDevice& device, const ScanPair& pair) {
+DeviceSimulator pair_simulator(const BuiltDevice& device, const ScanPair& pair,
+                               const std::vector<double>& base_voltages) {
   const std::size_t sensor_pair = std::min(pair.gate_x, pair.gate_y);
   return DeviceSimulator(device.model, sensor_for_pair(device, sensor_pair),
-                         device.base_voltages, pair);
+                         base_voltages, pair);
+}
+
+DeviceSimulator pair_simulator(const BuiltDevice& device, const ScanPair& pair) {
+  return pair_simulator(device, pair, device.base_voltages);
 }
 
 /// get_currents over `points` in ascending, descending and shuffled order
@@ -543,11 +548,12 @@ TEST(ScanPlanTest, PlannedDrivesMatchDotDrivesBitForBit) {
     const BuiltDevice device = jittered_array(n);
     const std::vector<Point2> points = widened_grid(device);
     for (const ScanPair& pair : every_pair(n)) {
-      DeviceSimulator sim = pair_simulator(device, pair);
       // Uneven resting gates, so no folded product is a repeat of another.
+      std::vector<double> bases = device.base_voltages;
       for (std::size_t g = 0; g < n; ++g)
         if (g != pair.gate_x && g != pair.gate_y)
-          sim.set_base_voltage(g, 0.001 * static_cast<double>(g) + 0.0031);
+          bases[g] = 0.001 * static_cast<double>(g) + 0.0031;
+      const DeviceSimulator sim = pair_simulator(device, pair, bases);
       std::size_t mismatches = 0;
       for (const Point2& p : points) {
         std::vector<double> voltages = sim.base_voltages();
@@ -614,6 +620,21 @@ TEST(ScanPlanTest, FallbacksMatchNaive) {
   auto seven = [&] { return make_pair_simulator(small, 2); };
   expect_orders_match_naive(seven, widened_grid(small, 8), "7 dots");
 
+  // More than kExhaustiveDotLimit candidates: eight resting plungers raised
+  // to the window centre activate them, and the probes anneal like kNaive.
+  std::vector<double> raised = device.base_voltages;
+  for (std::size_t g = 8; g < 16; ++g)
+    raised[g] = 0.5 * (device.params.window_lo + device.params.window_hi);
+  std::vector<double> voltages = raised;
+  voltages[0] = voltages[1] = device.params.window_lo;
+  std::vector<std::size_t> active;
+  active_dots(model, model.dot_drives(voltages), active);
+  EXPECT_GT(active.size(), kExhaustiveDotLimit);
+  auto raised_bases = [&] {
+    return DeviceSimulator(model, device.sensor, raised, ScanPair{});
+  };
+  expect_orders_match_naive(raised_bases, points, "raised bases");
+
   // Non-finite voltages take the full path; the reference agrees on them.
   DeviceSimulator sim = make_pair_simulator(device, 3);
   const std::vector<Point2> odd{{0.02, 0.03},       {HUGE_VAL, 0.01},
@@ -624,30 +645,6 @@ TEST(ScanPlanTest, FallbacksMatchNaive) {
   for (std::size_t i = 0; i < odd.size(); ++i)
     EXPECT_TRUE(same_bits(out[i], naive_current(sim, odd[i].x, odd[i].y)))
         << i;
-}
-
-TEST(ScanPlanTest, RaisedBasePastTheLimitRebuildsTheWindow) {
-  // Probe first, so the simulator's own scratch holds a window corner and
-  // its candidates; then raise 8 resting plungers to the window centre,
-  // which activates more than kExhaustiveDotLimit dots. The rebuilt plan
-  // must drop the stale corner: the probes now anneal, exactly like kNaive.
-  const BuiltDevice device = jittered_array(16);
-  const std::vector<Point2> points = widened_grid(device);
-  const double centre =
-      0.5 * (device.params.window_lo + device.params.window_hi);
-  auto raised = [&] {
-    DeviceSimulator sim = make_pair_simulator(device, 0);
-    std::vector<double> out(100);
-    sim.get_currents(std::span(points).first(100), out);
-    for (std::size_t g = 8; g < 16; ++g) sim.set_base_voltage(g, centre);
-    return sim;
-  };
-  std::vector<double> voltages = raised().base_voltages();
-  voltages[0] = voltages[1] = device.params.window_lo;
-  std::vector<std::size_t> active;
-  active_dots(device.model, device.model.dot_drives(voltages), active);
-  EXPECT_GT(active.size(), kExhaustiveDotLimit);
-  expect_orders_match_naive(raised, points, "raised bases");
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <tuple>
 
@@ -71,12 +72,18 @@ double distance_to_path_oracle(Point2 p, Point2 a, Point2 vertex, Point2 b) {
                   segment_distance_oracle(p, vertex, b));
 }
 
+std::string hex(Point2 p) {
+  std::ostringstream os;
+  os << std::hexfloat << '(' << p.x << ", " << p.y << ')';
+  return os.str();
+}
+
 void expect_matches_oracle(Point2 p, Point2 a, Point2 vertex, Point2 b) {
   const double got = distance_to_path(p, a, vertex, b);
   const double want = distance_to_path_oracle(p, a, vertex, b);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want))
-      << std::hexfloat << "p=" << p << " a=" << a << " vertex=" << vertex
-      << " b=" << b << " got=" << got << " want=" << want;
+      << "p=" << hex(p) << " a=" << hex(a) << " vertex=" << hex(vertex)
+      << " b=" << hex(b) << std::hexfloat << " got=" << got << " want=" << want;
 }
 
 TEST(DistanceToPathTest, MatchesOracleOnRandomPoints) {

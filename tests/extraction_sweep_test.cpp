@@ -143,16 +143,6 @@ TEST(SweepTest, SegmentCapLimitsProbes) {
             unlimited_cache.unique_probe_count());
 }
 
-TEST(SweepTest, AllPixelsCollectsBothSweeps) {
-  SyntheticCsdSpec spec;
-  const Csd csd = make_synthetic_csd(spec);
-  CsdPlayback playback(csd);
-  const auto result =
-      run_sweeps(playback, csd.x_axis(), csd.y_axis(), kAnchorA, kAnchorB);
-  EXPECT_EQ(result.all_pixels().size(),
-            result.row_points.size() + result.col_points.size());
-}
-
 TEST(SweepTest, InvalidAnchorsRejected) {
   SyntheticCsdSpec spec;
   const Csd csd = make_synthetic_csd(spec);

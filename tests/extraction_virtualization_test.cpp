@@ -116,22 +116,5 @@ TEST(VirtualizationTest, WarpOrthogonalizesBoundary) {
     EXPECT_NEAR(crossings[i], crossings[0], 2.0);
 }
 
-TEST(VirtualizationTest, ComposeArrayBandedMatrix) {
-  VirtualGatePair p01{0.2, 0.25};
-  VirtualGatePair p12{0.3, 0.15};
-  const Matrix m = compose_array_virtualization({p01, p12});
-  EXPECT_EQ(m.rows(), 3u);
-  EXPECT_DOUBLE_EQ(m(0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(m(0, 1), 0.2);
-  EXPECT_DOUBLE_EQ(m(1, 0), 0.25);
-  EXPECT_DOUBLE_EQ(m(1, 2), 0.3);
-  EXPECT_DOUBLE_EQ(m(2, 1), 0.15);
-  EXPECT_DOUBLE_EQ(m(0, 2), 0.0);  // beyond nearest neighbours: unobserved
-}
-
-TEST(VirtualizationTest, ComposeArrayRequiresAtLeastOnePair) {
-  EXPECT_THROW(compose_array_virtualization({}), ContractViolation);
-}
-
 }  // namespace
 }  // namespace qvg

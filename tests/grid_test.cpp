@@ -127,25 +127,6 @@ TEST(CsdTest, CurrentRange) {
   EXPECT_DOUBLE_EQ(hi, 5.0);
 }
 
-TEST(CsdTest, CropPreservesVoltageMapping) {
-  Csd csd(VoltageAxis(0.0, 0.01, 10), VoltageAxis(0.0, 0.01, 10));
-  for (std::size_t y = 0; y < 10; ++y)
-    for (std::size_t x = 0; x < 10; ++x)
-      csd.grid()(x, y) = static_cast<double>(x + 10 * y);
-  const Csd crop = csd.cropped(2, 3, 4, 5);
-  EXPECT_EQ(crop.width(), 4u);
-  EXPECT_EQ(crop.height(), 5u);
-  EXPECT_DOUBLE_EQ(crop.grid()(0, 0), csd.grid()(2, 3));
-  EXPECT_DOUBLE_EQ(crop.voltage_at(0, 0).x, csd.voltage_at(2, 3).x);
-  EXPECT_DOUBLE_EQ(crop.voltage_at(0, 0).y, csd.voltage_at(2, 3).y);
-}
-
-TEST(CsdTest, CropValidation) {
-  const Csd csd(VoltageAxis(0.0, 0.01, 10), VoltageAxis(0.0, 0.01, 10));
-  EXPECT_THROW(csd.cropped(8, 0, 4, 4), ContractViolation);
-  EXPECT_THROW(csd.cropped(0, 0, 0, 4), ContractViolation);
-}
-
 TEST(TransitionTruthTest, AlphaFormulas) {
   TransitionTruth truth;
   truth.slope_steep = -4.0;
@@ -162,8 +143,6 @@ TEST(CsdTest, TruthAttachment) {
   csd.set_truth(t);
   ASSERT_TRUE(csd.truth().has_value());
   EXPECT_DOUBLE_EQ(csd.truth()->slope_steep, -3.0);
-  // Crop keeps the truth.
-  EXPECT_TRUE(csd.cropped(0, 0, 1, 1).truth().has_value());
 }
 
 }  // namespace

@@ -19,16 +19,14 @@ GridU8 line_image(std::size_t n, double m, double c) {
   return image;
 }
 
-TEST(HoughLineTest, SlopeInterceptFromNormalForm) {
+TEST(HoughLineTest, SlopeFromNormalForm) {
   // Horizontal line y = 5: theta = 90deg, rho = 5.
   HoughLine horizontal{5.0, std::numbers::pi / 2.0, 10};
   ASSERT_TRUE(horizontal.slope().has_value());
   EXPECT_NEAR(*horizontal.slope(), 0.0, 1e-12);
-  EXPECT_NEAR(*horizontal.intercept(), 5.0, 1e-12);
   // Vertical line x = 3: theta = 0.
   HoughLine vertical{3.0, 0.0, 10};
   EXPECT_FALSE(vertical.slope().has_value());
-  EXPECT_FALSE(vertical.intercept().has_value());
 }
 
 TEST(HoughTest, FindsSingleLineSlope) {
@@ -37,7 +35,8 @@ TEST(HoughTest, FindsSingleLineSlope) {
   ASSERT_FALSE(lines.empty());
   ASSERT_TRUE(lines[0].slope().has_value());
   EXPECT_NEAR(*lines[0].slope(), -0.5, 0.06);
-  EXPECT_NEAR(*lines[0].intercept(), 40.0, 3.0);
+  // y-intercept of rho = x cos(theta) + y sin(theta).
+  EXPECT_NEAR(lines[0].rho / std::sin(lines[0].theta), 40.0, 3.0);
 }
 
 TEST(HoughTest, FindsSteepLine) {

@@ -8,6 +8,10 @@
 namespace qvg {
 namespace {
 
+double kernel_sum(const Kernel2D& k) {
+  return std::accumulate(k.raw().begin(), k.raw().end(), 0.0);
+}
+
 TEST(GaussianTapsTest, NormalizedAndSymmetric) {
   const auto taps = gaussian_taps(1.5);
   const double sum = std::accumulate(taps.begin(), taps.end(), 0.0);
@@ -21,15 +25,6 @@ TEST(GaussianTapsTest, NormalizedAndSymmetric) {
 TEST(GaussianTapsTest, RadiusControlsLength) {
   EXPECT_EQ(gaussian_taps(1.0, 3).size(), 7u);
   EXPECT_EQ(gaussian_taps(2.0).size(), 13u);  // ceil(3*sigma)=6 -> 13 taps
-}
-
-TEST(GaussianKernelTest, SeparableProduct) {
-  const auto taps = gaussian_taps(1.0, 2);
-  const auto kernel = gaussian_kernel(1.0, 2);
-  EXPECT_EQ(kernel.width(), 5u);
-  for (std::size_t y = 0; y < 5; ++y)
-    for (std::size_t x = 0; x < 5; ++x)
-      EXPECT_NEAR(kernel(x, y), taps[x] * taps[y], 1e-15);
 }
 
 TEST(SobelKernelTest, ZeroSumAndAntisymmetry) {

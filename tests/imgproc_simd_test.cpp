@@ -5,7 +5,7 @@
 // Geometry matrix deliberately hits the shapes the lane/tile restructuring
 // could get wrong: prime sizes (seam between interior fast path and border
 // handling never aligns with lanes), non-square, images smaller than the
-// kernel (interior span empty), widths straddling the lane count, and
+// kernel (no interior at all), widths straddling the lane count, and
 // 1xN / Nx1 degenerate grids.
 #include "common/random.hpp"
 #include "common/simd.hpp"
@@ -119,26 +119,6 @@ std::uint64_t ulp_distance(double a, double b) {
   return ua > ub ? ua - ub : ub - ua;
 }
 
-TEST(InteriorSpanTest, CentersOddKernel) {
-  const auto [lo, hi] = kernel_interior_span(10, 1, 3);
-  EXPECT_EQ(lo, 1);
-  EXPECT_EQ(hi, 9);
-}
-
-TEST(InteriorSpanTest, EvenKernelAnchorsAtFloorCenter) {
-  const auto [lo, hi] = kernel_interior_span(10, 1, 2);
-  EXPECT_EQ(lo, 1);
-  EXPECT_EQ(hi, 10);  // anchor 1 of 2: window is [p-1, p], fits up to p = 9
-}
-
-TEST(InteriorSpanTest, KernelLargerThanImageIsEmpty) {
-  const auto [lo, hi] = kernel_interior_span(3, 2, 5);
-  EXPECT_EQ(lo, hi);
-  const auto [lo1, hi1] = kernel_interior_span(1, 3, 7);
-  EXPECT_EQ(lo1, hi1);
-  EXPECT_LE(lo1, 1);
-}
-
 struct Shape {
   std::size_t w;
   std::size_t h;
@@ -152,62 +132,40 @@ const BorderMode kBorders[] = {BorderMode::kReplicate, BorderMode::kReflect,
 
 bool reflect_safe(const Shape& s) { return s.w > 1 && s.h > 1; }
 
-TEST(CorrelateEquivalenceTest, FastMatchesReferenceBitExact) {
-  const Kernel2D kernels[] = {paper_mask_x(), gaussian_kernel(1.0, 2),
-                              sobel_y_kernel()};
-  std::uint64_t seed = 11;
-  for (const Shape& s : kShapes) {
-    const GridD image = random_image(s.w, s.h, seed++);
-    for (const Kernel2D& k : kernels) {
-      for (BorderMode b : kBorders) {
-        if (b == BorderMode::kReflect && !reflect_safe(s)) continue;
-        EXPECT_EQ(correlate(image, k, b), correlate_reference(image, k, b))
-            << s.w << "x" << s.h;
-      }
-    }
-  }
-}
-
-TEST(CorrelateEquivalenceTest, EvenKernelAnchoring) {
+TEST(CorrelateOracleTest, InteriorAndBorderShareOneBoundaryRule) {
+  // On prime-sized grids (the seam between the interior and the sampled
+  // border lands at an arbitrary offset), correlate_reference must equal
+  // the everything-through-the-sampler oracle bit-exactly, for a dense
+  // kernel, a paper mask and an even kernel (anchored at the floor center).
+  const auto taps = gaussian_taps(1.0, 2);
+  Kernel2D gaussian(taps.size(), taps.size());
+  for (std::size_t y = 0; y < taps.size(); ++y)
+    for (std::size_t x = 0; x < taps.size(); ++x)
+      gaussian(x, y) = taps[x] * taps[y];
   Kernel2D even(2, 2);
   even(0, 0) = 0.5;
   even(1, 0) = -0.25;
   even(0, 1) = 0.125;
   even(1, 1) = 1.0;
-  for (const Shape& s : kShapes) {
-    const GridD image = random_image(s.w, s.h, 101 + s.w);
-    EXPECT_EQ(correlate(image, even, BorderMode::kReplicate),
-              correlate_reference(image, even, BorderMode::kReplicate));
-  }
-}
-
-TEST(ConvolveEquivalenceTest, FlippedPathMatchesReference) {
-  const Kernel2D k = paper_mask_y();
-  for (const Shape& s : {Shape{97, 61}, Shape{65, 47}, Shape{2, 2}}) {
-    const GridD image = random_image(s.w, s.h, 31 + s.w);
-    for (BorderMode b : kBorders)
-      EXPECT_EQ(convolve(image, k, b), convolve_reference(image, k, b));
-  }
-}
-
-TEST(CorrelateOracleTest, InteriorAndBorderShareOneBoundaryRule) {
-  // The satellite pin: on prime-sized grids (seam between SIMD interior,
-  // scalar tail and sampler border lands at an arbitrary offset), the fast
-  // path must equal the everything-through-the-sampler oracle bit-exactly.
-  const Kernel2D kernels[] = {gaussian_kernel(1.0, 2), paper_mask_x()};
+  const Kernel2D kernels[] = {gaussian, paper_mask_x(), even};
   for (const Shape& s : {Shape{97, 61}, Shape{61, 53}, Shape{67, 3}}) {
     const GridD image = random_image(s.w, s.h, 7 + s.w);
     for (const Kernel2D& k : kernels)
       for (BorderMode b : kBorders) {
-        EXPECT_EQ(correlate(image, k, b), correlate_oracle(image, k, b))
+        EXPECT_EQ(correlate_reference(image, k, b),
+                  correlate_oracle(image, k, b))
             << s.w << "x" << s.h;
       }
   }
 }
 
 TEST(SeparableEquivalenceTest, FastMatchesReferenceBitExact) {
+  // Every shape in kShapes, long and short tap vectors (longer than the
+  // 1xN / Nx1 / 2x2 images) and even tap counts, whose anchor sits at the
+  // floor center.
   const std::vector<double> tap_sets[] = {
-      gaussian_taps(1.4), gaussian_taps(0.6), {0.25, 0.5, 0.25}, {1.0}};
+      gaussian_taps(1.4), gaussian_taps(0.6), {0.25, 0.5, 0.25}, {1.0},
+      {0.5, -0.25},       {0.125, 1.0, -0.5, 0.25}};
   std::uint64_t seed = 211;
   for (const Shape& s : kShapes) {
     const GridD image = random_image(s.w, s.h, seed++);

@@ -5,14 +5,21 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 namespace qvg {
 namespace {
 
+/// Every element of `a` within `tol` of `b`'s (same shape).
+void expect_near(const Matrix& a, const Matrix& b, double tol) {
+  ASSERT_EQ(a.rows(), b.rows());
+  ASSERT_EQ(a.cols(), b.cols());
+  for (std::size_t r = 0; r < a.rows(); ++r)
+    for (std::size_t c = 0; c < a.cols(); ++c)
+      EXPECT_NEAR(a(r, c), b(r, c), tol) << r << "," << c;
+}
+
 TEST(LuTest, Solves2x2) {
   const Matrix a{{2, 1}, {1, 3}};
-  const auto x = solve(a, {5.0, 10.0});
+  const auto x = LuDecomposition(a).solve(std::vector<double>{5.0, 10.0});
   EXPECT_NEAR(x[0], 1.0, 1e-12);
   EXPECT_NEAR(x[1], 3.0, 1e-12);
 }
@@ -20,7 +27,7 @@ TEST(LuTest, Solves2x2) {
 TEST(LuTest, SolvesWithPivoting) {
   // Leading zero forces a row swap.
   const Matrix a{{0, 1}, {1, 0}};
-  const auto x = solve(a, {2.0, 3.0});
+  const auto x = LuDecomposition(a).solve(std::vector<double>{2.0, 3.0});
   EXPECT_NEAR(x[0], 3.0, 1e-12);
   EXPECT_NEAR(x[1], 2.0, 1e-12);
 }
@@ -30,17 +37,9 @@ TEST(LuTest, SingularThrows) {
   EXPECT_THROW(LuDecomposition{a}, NumericalError);
 }
 
-TEST(LuTest, Determinant) {
-  EXPECT_NEAR(determinant(Matrix{{2, 0}, {0, 3}}), 6.0, 1e-12);
-  EXPECT_NEAR(determinant(Matrix{{0, 1}, {1, 0}}), -1.0, 1e-12);
-  EXPECT_NEAR(determinant(Matrix{{1, 2, 3}, {4, 5, 6}, {7, 8, 10}}), -3.0, 1e-9);
-}
-
-TEST(LuTest, InverseRoundTrip) {
+TEST(LuTest, InverseMatchesClosedForm) {
   const Matrix a{{4, 7}, {2, 6}};
-  const Matrix inv = inverse(a);
-  EXPECT_LT((a * inv).max_abs_diff(Matrix::identity(2)), 1e-12);
-  EXPECT_LT((inv * a).max_abs_diff(Matrix::identity(2)), 1e-12);
+  expect_near(inverse(a), Matrix{{0.6, -0.7}, {-0.2, 0.4}}, 1e-12);
 }
 
 TEST(LuTest, RandomSystemsRoundTrip) {
@@ -55,7 +54,7 @@ TEST(LuTest, RandomSystemsRoundTrip) {
     std::vector<double> x_true(n);
     for (auto& v : x_true) v = rng.uniform(-2.0, 2.0);
     const auto b = a.apply(x_true);
-    const auto x = solve(a, b);
+    const auto x = LuDecomposition(a).solve(b);
     for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-9);
   }
 }
@@ -63,7 +62,7 @@ TEST(LuTest, RandomSystemsRoundTrip) {
 TEST(LuTest, MatrixRhsSolve) {
   const Matrix a{{3, 1}, {1, 2}};
   const Matrix x = LuDecomposition(a).solve(Matrix::identity(2));
-  EXPECT_LT((a * x).max_abs_diff(Matrix::identity(2)), 1e-12);
+  expect_near(x, Matrix{{0.4, -0.2}, {-0.2, 0.6}}, 1e-12);
 }
 
 TEST(QrTest, SolvesExactSystem) {
@@ -87,19 +86,7 @@ TEST(QrTest, LeastSquaresMinimizesResidual) {
 TEST(QrTest, RankDeficientThrows) {
   const Matrix a{{1, 2}, {2, 4}, {3, 6}};
   const QrDecomposition qr(a);
-  EXPECT_FALSE(qr.full_rank());
-  EXPECT_THROW(qr.solve({1.0, 2.0, 3.0}), NumericalError);
-}
-
-TEST(QrTest, RFactorIsUpperTriangular) {
-  const Matrix a{{1, 2}, {3, 4}, {5, 6}};
-  const Matrix r = QrDecomposition(a).r();
-  EXPECT_EQ(r.rows(), 2u);
-  EXPECT_DOUBLE_EQ(r(1, 0), 0.0);
-  // |R| diagonal magnitudes equal singular-value-product-preserving norms:
-  // check |det R| = sqrt(det(A^T A)).
-  const Matrix ata = a.transposed() * a;
-  EXPECT_NEAR(std::abs(r(0, 0) * r(1, 1)), std::sqrt(determinant(ata)), 1e-9);
+  EXPECT_THROW((void)qr.solve({1.0, 2.0, 3.0}), NumericalError);
 }
 
 TEST(QrTest, WideMatrixThrows) {

@@ -9,38 +9,6 @@
 namespace qvg {
 namespace {
 
-TEST(StatsTest, Mean) {
-  EXPECT_DOUBLE_EQ(mean({1, 2, 3, 4}), 2.5);
-  EXPECT_DOUBLE_EQ(mean({7}), 7.0);
-  EXPECT_THROW(mean({}), ContractViolation);
-}
-
-TEST(StatsTest, VarianceAndStddev) {
-  EXPECT_DOUBLE_EQ(variance({2, 2, 2}), 0.0);
-  EXPECT_DOUBLE_EQ(variance({1, 3}), 1.0);
-  EXPECT_DOUBLE_EQ(stddev({1, 3}), 1.0);
-}
-
-TEST(StatsTest, MedianOddEven) {
-  EXPECT_DOUBLE_EQ(median({3, 1, 2}), 2.0);
-  EXPECT_DOUBLE_EQ(median({4, 1, 3, 2}), 2.5);
-  EXPECT_DOUBLE_EQ(median({5}), 5.0);
-}
-
-TEST(StatsTest, MedianUnaffectedByOutlier) {
-  EXPECT_DOUBLE_EQ(median({1, 2, 3, 4, 1000}), 3.0);
-}
-
-TEST(StatsTest, MadSigmaOfConstant) {
-  EXPECT_DOUBLE_EQ(mad_sigma({5, 5, 5, 5}), 0.0);
-}
-
-TEST(StatsTest, MadSigmaApproximatesStddevForNormal) {
-  // MAD*1.4826 is a consistent sigma estimator; on a symmetric spread
-  // {-2,-1,0,1,2} the MAD is 1.
-  EXPECT_NEAR(mad_sigma({-2, -1, 0, 1, 2}), 1.4826, 1e-9);
-}
-
 TEST(StatsTest, PercentileInterpolates) {
   const std::vector<double> v{10, 20, 30, 40};
   EXPECT_DOUBLE_EQ(percentile(v, 0), 10.0);
@@ -76,14 +44,9 @@ TEST(StatsTest, PercentileMatchesSortOracle) {
 }
 
 TEST(StatsTest, PercentileValidation) {
-  EXPECT_THROW(percentile({}, 50), ContractViolation);
-  EXPECT_THROW(percentile({1.0}, -1), ContractViolation);
-  EXPECT_THROW(percentile({1.0}, 101), ContractViolation);
-}
-
-TEST(StatsTest, MinMax) {
-  EXPECT_DOUBLE_EQ(min_value({3, 1, 2}), 1.0);
-  EXPECT_DOUBLE_EQ(max_value({3, 1, 2}), 3.0);
+  EXPECT_THROW((void)percentile({}, 50), ContractViolation);
+  EXPECT_THROW((void)percentile({1.0}, -1), ContractViolation);
+  EXPECT_THROW((void)percentile({1.0}, 101), ContractViolation);
 }
 
 }  // namespace

@@ -37,8 +37,6 @@ TEST(SimClockTest, AccumulatesDwell) {
 
 TEST(SimClockTest, NegativeDwellRejected) {
   EXPECT_THROW(SimClock{-1.0}, ContractViolation);
-  SimClock clock(0.05);
-  EXPECT_THROW(clock.set_dwell_seconds(-0.1), ContractViolation);
 }
 
 TEST(PlaybackTest, ReturnsStoredPixel) {

@@ -102,7 +102,7 @@ TEST(FairnessTest, DeficitWeightedDispatchIsPinnedDeterministic) {
     (void)jobs.submit(request, order.options("a", "a" + std::to_string(i)));
   for (int i = 0; i < 3; ++i)
     (void)jobs.submit(request, order.options("b", "b" + std::to_string(i)));
-  EXPECT_EQ(jobs.pending(), 9u);
+  EXPECT_EQ(jobs.stats().pending, 9u);
 
   gate.release();
   jobs.wait_all();
@@ -252,7 +252,7 @@ TEST(FairnessTest, QueueWideMaxPendingShedsAcrossTenants) {
 
   gate.release();
   jobs.wait_all();
-  EXPECT_EQ(jobs.completed(), 2u);
+  EXPECT_EQ(jobs.stats().completed, 2u);
 }
 
 TEST(FairnessTest, TenantBudgetCapFoldsIntoEachRequest) {
