@@ -10,7 +10,7 @@
 //            [--disconnect-after-first-event] [...request flags...]
 //   csd_tool --dots N [--shards K] [--pixels P] [--method fast|hough]
 //            [--connect PORT]
-//   csd_tool --frontier-probe N [--frontier-seed S]
+//   csd_tool --frontier-probe N
 //
 // --dots N runs the paper's n-dot array virtualization walk (n-1 pair
 // extractions, composed into the full matrix) against a freshly built
@@ -18,11 +18,16 @@
 // pool (--shards K; 0 = one shard per pair).
 // With --connect the n-1 pair extractions are submitted to a running server
 // as self-contained device wire requests and composed client-side — the
-// wire lane serves 10-16 dot arrays end to end.
-// --frontier-probe N anneals one ground state on an N-dot device with every
-// plunger at the window centre and prints the occupation vector plus
-// SolveStats; the output is a pure function of (N, --frontier-seed), which
-// the CI smoke pins by diffing two runs.
+// wire lane serves 10-16 dot arrays end to end. The single-pair request
+// flags (--timeout-ms, --max-probes, --cancel, --fault-rate, --fault-seed,
+// --max-retries, --wall-backoff and the transport flags) and the client's
+// --progress and --disconnect-after-first-event do not reach the array
+// walk, so --dots rejects them as a usage error.
+// --frontier-probe N solves one ground state on an N-dot device with every
+// plunger at the window centre, where every dot is active, through the
+// production GroundStateSolver, and prints the occupation, the energy, the
+// search nodes and whether the node cap stopped the search; the output is a
+// pure function of N, which the CI smoke pins by diffing two runs.
 //
 // Reads a CSD saved with qvg's CSV format (see dataset/csd_io.hpp), replays
 // it through the paper's simulated getCurrent (dwell-time accounting
@@ -104,8 +109,19 @@ int usage() {
                "[--progress] [--disconnect-after-first-event]\n"
                "       csd_tool --dots N [--shards K] [--pixels P] "
                "[--method fast|hough] [--connect PORT]\n"
-               "       csd_tool --frontier-probe N [--frontier-seed S]\n";
+               "       csd_tool --frontier-probe N\n";
   return kExitUsage;
+}
+
+/// The single-pair lanes' flags, which neither --dots lane reads.
+bool is_single_pair_flag(const std::string& flag) {
+  for (const char* name :
+       {"--timeout-ms", "--max-probes", "--cancel", "--fault-rate",
+        "--fault-seed", "--max-retries", "--wall-backoff",
+        "--transport-latency-us", "--transport-bandwidth", "--io-depth",
+        "--progress", "--disconnect-after-first-event"})
+    if (flag == name) return true;
+  return false;
 }
 
 /// Map a composed array status to the tool's typed exit codes.
@@ -148,35 +164,33 @@ int print_array_outcome(const qvg::ArrayExtractionResult& result,
   return 0;
 }
 
-/// --frontier-probe: one deterministic anneal, printed in full (occupation
-/// + SolveStats) so two same-seed runs can be diffed byte for byte.
-int run_frontier_probe(std::size_t dots, std::uint64_t seed) {
+/// --frontier-probe: one deterministic ground-state search, printed in full
+/// (occupation, energy, SolveStats) so two runs can be diffed byte for byte.
+int run_frontier_probe(std::size_t dots) {
   using namespace qvg;
   DotArrayParams params;
   params.n_dots = dots;
   const BuiltDevice device = build_dot_array(params);
-  // Solve at the window centre of every plunger (all dots near their
-  // transition — the frustrated regime the anneal is for).
+  // Solve at the window centre of every plunger: every dot is active, the
+  // largest search a device of this size can ask for.
   std::vector<double> voltages = device.base_voltages;
   const double centre = 0.5 * (params.window_lo + params.window_hi);
   for (std::size_t g = 0; g < device.model.num_gates(); ++g)
     voltages[g] = centre;
   const auto drives = device.model.dot_drives(voltages);
 
-  FrontierOptions options;
-  options.seed = seed;
-  SolveStats stats;
-  const std::vector<int> occupation = ground_state_frontier(
-      device.model, drives, /*max_electrons_per_dot=*/4, options, &stats);
+  GroundStateSolver solver;
+  solver.bind(device.model);
+  const std::vector<int> occupation = solver.solve(drives, {});
+  const SolveStats& stats = solver.last_stats();
 
-  std::cout << "frontier anneal on " << dots
-            << "-dot device, seed " << seed << "\n  occupation = [";
+  std::cout << "ground-state search on a " << dots
+            << "-dot device at the window centre\n  occupation = [";
   for (std::size_t d = 0; d < occupation.size(); ++d)
     std::cout << (d == 0 ? "" : ", ") << occupation[d];
   std::cout << "]\n  energy = " << device.model.energy(occupation, drives)
-            << "\n  stats: moves_evaluated=" << stats.moves_evaluated
-            << " moves_accepted=" << stats.moves_accepted
-            << " restarts=" << stats.restarts << "\n";
+            << "\n  stats: nodes=" << stats.nodes
+            << " capped=" << (stats.capped ? "yes" : "no") << "\n";
   return 0;
 }
 
@@ -499,16 +513,17 @@ int main(int argc, char** argv) {
   long frontier_probe_dots = 0;
   long shards = 0;
   long pixels = 48;
-  unsigned long long frontier_seed = FrontierOptions{}.seed;
   double transport_latency_us = 0.0;
   double transport_bandwidth = 0.0;
   long io_depth = 0;
+  bool single_pair_flag = false;  // a flag only the single-pair lanes read
 
   const int first_flag = argv[1][0] == '-' ? 1 : 2;
   if (first_flag == 2) path = argv[1];
   try {
     for (int i = first_flag; i < argc; ++i) {
       const std::string flag = argv[i];
+      single_pair_flag = single_pair_flag || is_single_pair_flag(flag);
       if (flag == "--cancel") {
         cancel_job = true;
       } else if (flag == "--progress") {
@@ -551,8 +566,6 @@ int main(int argc, char** argv) {
         pixels = std::stol(argv[++i]);
       } else if (flag == "--frontier-probe") {
         frontier_probe_dots = std::stol(argv[++i]);
-      } else if (flag == "--frontier-seed") {
-        frontier_seed = std::stoull(argv[++i]);
       } else if (flag == "--transport-latency-us") {
         transport_latency_us = std::stod(argv[++i]);
       } else if (flag == "--transport-bandwidth") {
@@ -574,11 +587,10 @@ int main(int argc, char** argv) {
 
   if (frontier_probe_dots > 0) {
     if (frontier_probe_dots < 2 || frontier_probe_dots > 64) return usage();
-    return run_frontier_probe(static_cast<std::size_t>(frontier_probe_dots),
-                              frontier_seed);
+    return run_frontier_probe(static_cast<std::size_t>(frontier_probe_dots));
   }
   if (dots > 0) {
-    if (dots < 2 || dots > 64) return usage();
+    if (dots < 2 || dots > 64 || single_pair_flag) return usage();
     if (method != "fast" && method != "hough") return usage();
     if (pixels < 16 || shards < 0) return usage();
     if (connect_port < 0 || connect_port > 65535) return usage();

@@ -88,11 +88,4 @@ bool Rng::bernoulli(double p) {
   return uniform() < p;
 }
 
-Rng Rng::split(std::uint64_t tag) const {
-  // Derive a child seed from our state and the tag; mixing through
-  // splitmix64 decorrelates the streams.
-  std::uint64_t s = state_[0] ^ rotl(state_[2], 13) ^ (tag * 0xd1342543de82ef95ULL);
-  return Rng(splitmix64(s));
-}
-
 }  // namespace qvg

@@ -47,10 +47,6 @@ class Rng {
   /// Bernoulli trial with success probability p in [0, 1].
   bool bernoulli(double p);
 
-  /// Split off an independently seeded child generator. Children derived
-  /// with distinct tags are statistically independent streams.
-  [[nodiscard]] Rng split(std::uint64_t tag) const;
-
  private:
   std::array<std::uint64_t, 4> state_{};
   double cached_normal_ = 0.0;

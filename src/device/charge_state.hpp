@@ -49,21 +49,6 @@
 //     ground_state_greedy_reference keeps the original copy-based
 //     implementation as the equivalence oracle.
 //
-//   ground_state_frontier — simulated annealing for more than
-//     kExhaustiveDotLimit active dots, built on the same O(1) delta-energy
-//     machinery (DeltaMoveEvaluator): single-dot occupancy moves and
-//     pair-swap moves evaluate in O(1) against maintained coupling sums, an
-//     accepted move costs O(n), and no per-trial vectors are copied. One
-//     fixed schedule: 3 restarts (the first from the all-zero state, the
-//     others from uniform random occupations) of 24 sweeps of n proposed
-//     moves, a quarter of them pair swaps, cooled geometrically by 0.85 per
-//     sweep from 0.8 x the largest charging energy. Each restart ends in an
-//     ICM polish, so the anneal never returns worse than plain greedy.
-//     Fully deterministic given FrontierOptions::seed — restart k draws from
-//     Rng(seed).split(k). A pair scan rests every other plunger at its base
-//     voltage, below its transition on the built arrays, so no extraction
-//     workload reaches this search; `csd_tool --frontier-probe` does.
-//
 // GroundStateSolver is the production dispatch, used by ground_state() and
 // by every DeviceSimulator probe (L = kExhaustiveDotLimit):
 //
@@ -74,11 +59,15 @@
 //     satisfies mu_i < Ec_i/2 and holds c >= 1 electrons can be emptied for
 //     an energy drop of at least c * (Ec_i/2 - mu_i) > 0, so it is empty in
 //     every ground state. Only the active set A = {i : !(mu_i < Ec_i/2)}
-//     needs solving:
-//       |A| <= L — branch-and-bound over A alone (bound onto the gathered
-//         charging/mutual/drive entries of A; no model copy), exact;
-//       |A| >  L — the anneal on the whole model, exactly as
-//         ground_state_frontier() runs it.
+//     needs solving, by branch-and-bound over A alone (bound onto the
+//     gathered charging/mutual/drive entries of A; no model copy):
+//       |A| <= L — from the all-zero incumbent, exact;
+//       |A| >  L — the capped search: the incumbent starts at the ICM fixed
+//         point (ground_state_greedy on A) and the search stops after
+//         kSearchNodeCap nodes, returning its best state so far. Below the
+//         cap it is exact; at the cap it is never worse than ICM.
+//         SolveStats::capped says which. The cap is sized so that default
+//         arrays up to 16 dots with every dot active finish exactly.
 //     Either way the result is a pure function of the drives (no warm
 //     start), so every probe schedule makes identical per-probe decisions.
 //
@@ -94,34 +83,31 @@
 
 namespace qvg {
 
-/// Solve exactly (branch-and-bound) up to this many dots — all of them, or
-/// above this size the active dots of the dominance pre-pass — and anneal
-/// only when more active dots remain.
+/// Solve from the all-zero incumbent up to this many dots — all of them, or
+/// above this size the active dots of the dominance pre-pass. Past it the
+/// search starts at the ICM state and stops after kSearchNodeCap nodes.
 inline constexpr std::size_t kExhaustiveDotLimit = 7;
 
-/// The ground-state search for more than kExhaustiveDotLimit active dots.
+/// Search nodes (descend() calls, pruned or expanded) the capped search may
+/// visit. Default arrays need 381 nodes with all 16 dots active and 8,726
+/// with all 27; at the cap a 64-dot solve with every dot active takes 9-13
+/// ms (Release, 4-vCPU Xeon VM).
+inline constexpr std::uint64_t kSearchNodeCap = 1u << 15;
+
+/// Read by nothing in src/; kept so perfbench builds unedited until the
+/// benchmark stops assigning it (ROADMAP item 4).
 enum class FrontierStrategy {
-  /// Simulated annealing on O(1) delta-energy moves.
-  kAnneal,
+  kCappedBranchAndBound,
 };
 
-/// The anneal's seed. Every run is a pure function of (model, drives, seed):
-/// all randomness flows from `seed` through per-restart split streams, so
-/// re-running a request (job-level retries, fault-injection reruns)
-/// reproduces bit-identically.
 struct FrontierOptions {
-  /// Read by nothing in src/; kept so perfbench builds unedited. ROADMAP
-  /// item 4's benchmark PR deletes it.
-  FrontierStrategy strategy = FrontierStrategy::kAnneal;
-  /// Base seed. Restart k uses the independent stream Rng(seed).split(k);
-  /// callers that serve requests derive this from the request seed (see
-  /// DeviceSimulator) so retries replay the exact same search.
-  std::uint64_t seed = 0x9d075eedULL;
+  /// Read by nothing in src/; kept so perfbench builds unedited.
+  FrontierStrategy strategy = FrontierStrategy::kCappedBranchAndBound;
 };
 
 struct ChargeSolverOptions {
   int max_electrons_per_dot = 4;
-  /// The anneal's seed for more than kExhaustiveDotLimit active dots.
+  /// Read by nothing in src/; kept so perfbench builds unedited.
   FrontierOptions frontier;
 };
 
@@ -145,7 +131,8 @@ void active_dots(const CapacitanceModel& model,
 
 /// Iterated conditional modes on flat delta-energy updates: repeatedly relax
 /// one dot at a time until a fixed point. Exact for diagonal-dominant
-/// couplings in practice. A test oracle: the anneal never returns worse.
+/// couplings in practice. The capped search starts here, so a test oracle:
+/// it never returns worse.
 [[nodiscard]] std::vector<int> ground_state_greedy(
     const CapacitanceModel& model, const std::vector<double>& drives,
     int max_electrons_per_dot);
@@ -166,113 +153,22 @@ enum class ExhaustiveStrategy {
   kBranchAndBound,
 };
 
-/// Counters from the most recent solve call (exhaustive or anneal; each
-/// solver fills its own fields and zeroes the rest).
+/// Counters from the most recent solve call.
 struct SolveStats {
   /// States whose energy was actually evaluated (m^n for full enumeration).
   std::uint64_t states_visited = 0;
   /// Subtrees eliminated by the bound test, weighted by nothing — each
   /// counted once regardless of how many states it contained.
   std::uint64_t subtrees_pruned = 0;
-  /// States contained in the pruned subtrees (never evaluated).
-  std::uint64_t states_pruned = 0;
-  /// Anneal: delta-energy move evaluations performed.
-  std::uint64_t moves_evaluated = 0;
-  /// Anneal: moves actually applied.
-  std::uint64_t moves_accepted = 0;
-  /// Anneal: restarts executed.
-  std::uint64_t restarts = 0;
+  /// States contained in the pruned subtrees (never evaluated). A double:
+  /// m^n passes 2^64 at 28 dots of 5 levels; exact up to 2^53.
+  double states_pruned = 0.0;
+  /// Branch-and-bound search nodes: descend() calls, pruned or expanded.
+  std::uint64_t nodes = 0;
+  /// The capped search stopped at kSearchNodeCap nodes, so the result is
+  /// the best state found so far (never worse than ICM), not proven exact.
+  bool capped = false;
 };
-
-/// O(1) delta-energy move machinery of the anneal, exposed so its invariants can be property-tested. Bind to a
-/// model, set a state, then: delta_single / delta_swap evaluate a move in
-/// O(1) against maintained per-dot coupling sums; apply_single / apply_swap
-/// commit it in O(n) (SIMD coupling update, bit-identical to scalar) and
-/// keep a running total energy. No per-trial vector copies anywhere.
-///
-/// Not thread-safe: one instance per thread.
-class DeltaMoveEvaluator {
- public:
-  /// (Re)bind to a model (flat parameter copies). The model must outlive
-  /// the evaluator.
-  void bind(const CapacitanceModel& model);
-  [[nodiscard]] bool bound() const noexcept { return n_ != 0; }
-
-  /// Load an occupation + drives and rebuild coupling sums and the running
-  /// energy from scratch: O(n^2).
-  void set_state(const std::vector<int>& occupation,
-                 const std::vector<double>& drives);
-
-  /// Energy change of setting dot d to occupancy c (others fixed): O(1).
-  [[nodiscard]] double delta_single(std::size_t d, int c) const;
-  /// Energy change of exchanging the occupancies of dots a and b: O(1).
-  [[nodiscard]] double delta_swap(std::size_t a, std::size_t b) const;
-
-  /// Commit the move and update coupling sums + running energy: O(n).
-  void apply_single(std::size_t d, int c);
-  void apply_swap(std::size_t a, std::size_t b);
-
-  /// Running total energy (delta-accumulated; agrees with a full
-  /// CapacitanceModel::energy recompute to floating-point residue).
-  [[nodiscard]] double energy() const noexcept { return energy_; }
-  [[nodiscard]] const std::vector<int>& occupation() const noexcept {
-    return occupation_;
-  }
-  [[nodiscard]] std::size_t num_dots() const noexcept { return n_; }
-
- private:
-  std::size_t n_ = 0;
-  std::vector<int> occupation_;
-  std::vector<double> drives_;
-  /// coupling_[d] = sum_k mutual(d, k) * occupation_[k].
-  std::vector<double> coupling_;
-  std::vector<double> mutual_flat_;
-  std::vector<double> charging_;
-  double energy_ = 0.0;
-};
-
-/// Allocation-free simulated-annealing ground-state solver. Bind once, call
-/// solve() per pixel; the returned reference stays valid until the next
-/// solve()/bind(). Deterministic: a pure function of (model, drives,
-/// max_electrons_per_dot, options.seed). Not thread-safe: one per thread.
-class StochasticGroundStateSolver {
- public:
-  void bind(const CapacitanceModel& model);
-  [[nodiscard]] bool bound() const noexcept { return model_ != nullptr; }
-
-  const std::vector<int>& solve(const std::vector<double>& drives,
-                                int max_electrons_per_dot,
-                                const FrontierOptions& options);
-
-  /// Counters from the most recent solve().
-  [[nodiscard]] const SolveStats& last_stats() const noexcept { return stats_; }
-
- private:
-  /// ICM-polish `state` in place, then fold it into best_ (full-recompute
-  /// energy comparison; earlier restarts win exact ties).
-  void offer_polished(std::vector<int>& state,
-                      const std::vector<double>& drives,
-                      int max_electrons_per_dot);
-
-  const CapacitanceModel* model_ = nullptr;
-  DeltaMoveEvaluator eval_;
-  std::vector<int> best_;
-  double best_energy_ = 0.0;
-  bool has_best_ = false;
-  std::vector<int> start_;
-  std::vector<int> local_best_;
-  std::vector<double> polish_coupling_;
-  SolveStats stats_;
-};
-
-/// Simulated annealing over the whole model (the schedule is in the header
-/// comment). GroundStateSolver runs this when more than
-/// kExhaustiveDotLimit dots are active. Convenience wrapper over
-/// StochasticGroundStateSolver.
-[[nodiscard]] std::vector<int> ground_state_frontier(
-    const CapacitanceModel& model, const std::vector<double>& drives,
-    int max_electrons_per_dot, const FrontierOptions& options = {},
-    SolveStats* stats = nullptr);
 
 /// Allocation-free exhaustive solver with incremental delta-energy
 /// evaluation and optional branch-and-bound pruning. Bind it to a model
@@ -307,6 +203,13 @@ class IncrementalGroundStateSolver {
       const std::vector<int>* warm_start = nullptr,
       ExhaustiveStrategy strategy = ExhaustiveStrategy::kBranchAndBound);
 
+  /// The capped search: branch-and-bound warm-started from the ICM fixed
+  /// point (ground_state_greedy's, on the bound dots), stopped after
+  /// kSearchNodeCap nodes. Exact unless last_stats().capped; never worse
+  /// than ICM.
+  const std::vector<int>& solve_capped(const std::vector<double>& drives,
+                                       int max_electrons_per_dot);
+
   [[nodiscard]] bool bound() const noexcept { return model_ != nullptr; }
 
   /// Counters from the most recent solve().
@@ -315,6 +218,8 @@ class IncrementalGroundStateSolver {
  private:
   /// Size the scratch buffers for n_ dots and reset the per-m tables.
   void reset_scratch();
+  /// Build the per-m tables on the first solve at this occupancy cap.
+  void prepare(int max_electrons_per_dot);
   /// Seed the incumbent from the zero state and the optional warm start.
   void seed_incumbent(const std::vector<double>& drives,
                       const std::vector<int>* warm_start);
@@ -327,20 +232,23 @@ class IncrementalGroundStateSolver {
                                     const std::vector<double>& drives,
                                     int max_electrons_per_dot) const;
   /// Evaluate the m inner (dot 0) states of the current outer configuration.
-  void inner_sweep(const std::vector<double>& drives, std::size_t m,
-                   std::uint64_t index_base);
+  void inner_sweep(const std::vector<double>& drives, std::size_t m);
   /// Branch-and-bound DFS: dots level..n-1 are fixed in occupation_, dots
-  /// 0..level-1 are free (all currently zero).
-  void descend(std::size_t level, std::uint64_t index_base,
-               const std::vector<double>& drives, int max_electrons_per_dot);
+  /// 0..level-1 are free (all currently zero). Stops early, leaving
+  /// occupation_ and coupling_ mid-walk, once node_cap_ nodes are spent.
+  void descend(std::size_t level, const std::vector<double>& drives,
+               int max_electrons_per_dot);
   void solve_full_enumeration(const std::vector<double>& drives,
                               int max_electrons_per_dot);
-  void finish(std::size_t m, const std::vector<int>* warm_start);
 
   const CapacitanceModel* model_ = nullptr;
   std::size_t n_ = 0;
   std::vector<int> occupation_;
+  /// The incumbent occupation (an occupation, not an enumeration index,
+  /// so no count of states ever has to fit in an integer).
   std::vector<int> best_;
+  /// The capped search's ICM starting state.
+  std::vector<int> icm_;
   /// coupling_[d] = sum_k mutual(d, k) * occupation_[k], maintained
   /// incrementally as the outer-odometer digits advance.
   std::vector<double> coupling_;
@@ -355,14 +263,14 @@ class IncrementalGroundStateSolver {
   std::vector<double> charging_;
   /// Quadratic self-energy table for dot 0: q0_[c] = Ec_0/2 * c^2.
   std::vector<double> q0_;
-  /// pow_m_[j] = m^j, the enumeration-index stride of digit j.
-  std::vector<std::uint64_t> pow_m_;
+  /// pow_m_[j] = m^j, the state count of a subtree with j free dots (a
+  /// double for SolveStats::states_pruned).
+  std::vector<double> pow_m_;
 
   // Per-solve state (valid during and after a solve() call).
   double base_ = 0.0;  // energy of the current outer state with free dots 0
   double best_energy_ = 0.0;
-  std::uint64_t best_index_ = 0;
-  bool warm_is_best_ = false;
+  std::uint64_t node_cap_ = 0;
   SolveStats stats_;
 };
 
@@ -388,16 +296,21 @@ class GroundStateSolver {
                                 const ChargeSolverOptions& options,
                                 const std::vector<int>* warm_start = nullptr);
 
-  /// Exact ground state of the sub-problem of `active` (ascending, distinct,
-  /// 1..kExhaustiveDotLimit dots of a model above the limit) at their drives
+  /// Ground state of the sub-problem of `active` (ascending, distinct,
+  /// non-empty dots of a model above kExhaustiveDotLimit) at their drives
   /// `active_drives`: the occupations of those dots, indexed like `active`.
   /// The caller vouches that every other dot is dominated (empty). This is
-  /// solve()'s exact branch, exposed for callers that already know the
-  /// active set; the branch-and-bound rebinds only when the set differs from
+  /// solve()'s search, exposed for callers that already know the active
+  /// set: exact up to kExhaustiveDotLimit active dots, the capped search
+  /// past it. The branch-and-bound rebinds only when the set differs from
   /// the previous call's.
   const std::vector<int>& solve_active(std::span<const std::size_t> active,
                                        const std::vector<double>& active_drives,
                                        int max_electrons_per_dot);
+
+  /// Counters from the most recent solve()'s search (all zero when the
+  /// pre-pass left no dot active).
+  [[nodiscard]] const SolveStats& last_stats() const noexcept;
 
  private:
   const CapacitanceModel* model_ = nullptr;
@@ -405,10 +318,11 @@ class GroundStateSolver {
   /// The dots exact_ is bound to above the limit (empty: not bound to a
   /// sub-problem).
   std::vector<std::size_t> exact_dots_;
-  StochasticGroundStateSolver frontier_;
   std::vector<std::size_t> active_;
   std::vector<double> active_drives_;
   std::vector<int> occupation_;
+  /// Whether the last solve() ran exact_ (false: no dot was active).
+  bool searched_ = false;
 };
 
 }  // namespace qvg

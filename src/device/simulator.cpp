@@ -9,20 +9,6 @@
 
 namespace qvg {
 
-namespace {
-
-/// Deterministic frontier seed from the simulator's noise seed (which is
-/// the request seed, or request seed + pair index for array walks). A pure
-/// function of its input, so job-level retries and fault-injection reruns —
-/// which rebuild the simulator from the same request — replay every
-/// stochastic ground-state search bit-identically.
-std::uint64_t frontier_seed_from(std::uint64_t noise_seed) {
-  Rng stream = Rng(noise_seed).split(/*tag=*/0xF5057ULL);
-  return stream.next_u64();
-}
-
-}  // namespace
-
 DeviceSimulator::DeviceSimulator(CapacitanceModel model,
                                  SensorConfig sensor_config,
                                  std::vector<double> base_voltages,
@@ -36,7 +22,6 @@ DeviceSimulator::DeviceSimulator(CapacitanceModel model,
       noise_seed_(noise_seed),
       clock_(dwell_seconds) {
   QVG_EXPECTS(base_voltages_.size() == model_.num_gates());
-  solver_options_.frontier.seed = frontier_seed_from(noise_seed);
   set_scan_pair(pair);
 }
 
@@ -118,7 +103,7 @@ bool DeviceSimulator::window_covers(ProbeScratch& ws, double v1,
       if (!(plan_.sum(i, lo, hi) < plan_.half_charging[i]))
         ws.candidates.push_back(i);
   }
-  return ws.candidates.size() <= kExhaustiveDotLimit;
+  return true;
 }
 
 void DeviceSimulator::drives_into(double v1, double v2,
@@ -150,8 +135,8 @@ const std::vector<int>& DeviceSimulator::occupation_with(ProbeScratch& ws,
 const std::vector<int>& DeviceSimulator::window_occupation(ProbeScratch& ws,
                                                            double v_lo,
                                                            double v_hi) const {
-  // The pre-pass over the candidates alone, then the exact solve of the
-  // active ones; every other dot is empty.
+  // The pre-pass over the candidates alone, then the search over the active
+  // ones; every other dot is empty.
   ws.active.clear();
   ws.active_drives.clear();
   for (const std::size_t d : ws.candidates) {
@@ -200,19 +185,20 @@ double DeviceSimulator::ideal_current_naive(double v1, double v2) const {
     return sensor_.current(
         v, ground_state_exhaustive(model_, drives, max_electrons));
 
-  // The same dominance pre-pass as GroundStateSolver, with the reference
-  // enumeration over a restricted CapacitanceModel as the exact solver.
+  // The same dominance pre-pass as GroundStateSolver over a restricted
+  // CapacitanceModel: the reference enumeration up to the limit, the capped
+  // search past it.
   std::vector<std::size_t> active;
   active_dots(model_, drives, active);
-  if (active.size() > kExhaustiveDotLimit)
-    return sensor_.current(
-        v, ground_state_frontier(model_, drives, max_electrons,
-                                 solver_options_.frontier));
   std::vector<int> occupation(model_.num_dots(), 0);
   if (!active.empty()) {
     const CapacitanceModel sub_model = model_.restricted_to(active);
-    const auto sub = ground_state_exhaustive(
-        sub_model, sub_model.dot_drives(v), max_electrons);
+    const auto sub_drives = sub_model.dot_drives(v);
+    const std::vector<int> sub =
+        active.size() <= kExhaustiveDotLimit
+            ? ground_state_exhaustive(sub_model, sub_drives, max_electrons)
+            : IncrementalGroundStateSolver(sub_model).solve_capped(
+                  sub_drives, max_electrons);
     for (std::size_t a = 0; a < active.size(); ++a)
       occupation[active[a]] = sub[a];
   }

@@ -21,21 +21,19 @@
 // monotone non-decreasing in v1 and v2, because CapacitanceModel admits
 // only lever arms >= 0 (a -0.0 one adds a zero of either sign, which `<`
 // cannot tell apart). So a dot that the dominance pre-pass (see
-// charge_state.hpp) finds empty at the upper corner of the probes seen so far — the largest v1 and
-// the largest v2 — is empty at every probe at or below that corner. Each
-// ProbeScratch (one per parallel chunk, so chunks share nothing) keeps that
-// corner and the dots not dominated there, the candidates; the corner
-// grows only when a probe exceeds it. A probe then computes the drives of
-// the candidates only and solves the active ones exactly through
-// GroundStateSolver::solve_active. The full path (every drive, then
-// GroundStateSolver::solve) runs instead when
+// charge_state.hpp) finds empty at the upper corner of the probes seen so
+// far — the largest v1 and the largest v2 — is empty at every probe at or
+// below that corner. Each ProbeScratch (one per parallel chunk, so chunks
+// share nothing) keeps that corner and the dots not dominated there, the
+// candidates; the corner grows only when a probe exceeds it. A probe then
+// computes the drives of the candidates only and solves the active ones,
+// however many, through GroundStateSolver::solve_active. The full path
+// (every drive, then GroundStateSolver::solve) runs instead when
 //
 //   * the model has <= kExhaustiveDotLimit dots (the whole model is solved
 //     exactly, warm-started from the previous probe);
 //   * a voltage is not finite (an infinite voltage times a zero lever arm
-//     is NaN, which breaks the monotonicity);
-//   * more than kExhaustiveDotLimit dots are candidates, so the anneal still
-//     sees every real drive.
+//     is NaN, which breaks the monotonicity).
 //
 // Either way the occupation is the one GroundStateSolver::solve returns,
 // and the detuning subtracts every dot's gamma_i n_i from it in dot order.
@@ -153,16 +151,14 @@ class DeviceSimulator final : public CurrentSource {
   /// walks neighbouring plunger pairs).
   void set_scan_pair(ScanPair pair);
 
-  /// Charge-solver configuration. The constructor derives
-  /// frontier.seed deterministically from the noise seed (the request
-  /// seed), so every anneal above kExhaustiveDotLimit active dots is a pure
-  /// function of the request — job-level retries and fault-injection reruns
-  /// replay it bit-identically.
+  /// Charge-solver configuration (the occupancy cap). Every probe's
+  /// occupation is a pure function of its voltages, so job-level retries
+  /// and fault-injection reruns replay it bit-identically.
   [[nodiscard]] const ChargeSolverOptions& solver_options() const noexcept {
     return solver_options_;
   }
-  /// Override the solver configuration (occupancy cap, anneal seed). Resets
-  /// the probe scratch's warm state.
+  /// Override the solver configuration. Resets the probe scratch's warm
+  /// state.
   void set_solver_options(const ChargeSolverOptions& options);
 
   /// Reset clock, probe counter, noise state, and noise RNG (deterministic
@@ -201,9 +197,9 @@ class DeviceSimulator final : public CurrentSource {
   /// Per-thread scratch for the allocation-free probe path. One
   /// GroundStateSolver serves every device size: up to kExhaustiveDotLimit
   /// dots it solves the whole model exactly, warm-started from `warm` (the
-  /// previous probe); above it, the dominance pre-pass solves the active
-  /// dots exactly, or anneals when more than the limit are active, and
-  /// ignores `warm` (the result is a function of the probe).
+  /// previous probe); above it, the dominance pre-pass leaves the active
+  /// dots to the branch-and-bound (capped past the limit) and ignores
+  /// `warm` (the result is a function of the probe).
   struct ProbeScratch {
     std::vector<double> drives;
     std::vector<int> warm;
@@ -230,7 +226,8 @@ class DeviceSimulator final : public CurrentSource {
   /// Every dot's drive at (v1, v2) from the plan, into `out`.
   void drives_into(double v1, double v2, std::vector<double>& out) const;
   /// Grow ws's window corner to cover (v1, v2), refreshing its candidates
-  /// when it moves; true when the candidate path may serve the probe.
+  /// when it moves; true when the candidate path may serve the probe (a
+  /// windowed plan and finite voltages).
   bool window_covers(ProbeScratch& ws, double v1, double v2) const;
   /// Ground-state occupation on the candidate path, at the scanned voltages
   /// as (lower gate, upper gate); needs window_covers to have passed.

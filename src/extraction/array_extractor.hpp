@@ -43,7 +43,7 @@ struct ArrayExtractionOptions {
   std::size_t shards = 0;
   /// Read by nothing in src/; kept so perfbench builds unedited. ROADMAP
   /// item 4's benchmark PR deletes it.
-  FrontierStrategy frontier = FrontierStrategy::kAnneal;
+  FrontierStrategy frontier = FrontierStrategy::kCappedBranchAndBound;
   FastExtractorOptions fast;
   HoughBaselineOptions baseline;
   VerdictOptions verdict;

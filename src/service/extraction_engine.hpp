@@ -66,7 +66,7 @@ struct DeviceBackend {
   double telegraph_rate_hz = 0.5;
   /// Read by nothing in src/; kept so perfbench builds unedited. ROADMAP
   /// item 4's benchmark PR deletes it.
-  FrontierStrategy frontier = FrontierStrategy::kAnneal;
+  FrontierStrategy frontier = FrontierStrategy::kCappedBranchAndBound;
 };
 
 /// Backend: replay of a recorded diagram through the paper's simulated

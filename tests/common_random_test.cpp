@@ -113,16 +113,6 @@ TEST(RngTest, BernoulliDegenerate) {
   }
 }
 
-TEST(RngTest, SplitStreamsAreIndependent) {
-  Rng base(17);
-  Rng child1 = base.split(1);
-  Rng child2 = base.split(2);
-  int same = 0;
-  for (int i = 0; i < 64; ++i)
-    same += child1.next_u64() == child2.next_u64() ? 1 : 0;
-  EXPECT_LT(same, 2);
-}
-
 TEST(RngTest, ContractViolationsThrow) {
   Rng rng(18);
   EXPECT_THROW(rng.uniform(3.0, 1.0), ContractViolation);

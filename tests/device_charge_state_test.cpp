@@ -71,8 +71,8 @@ TEST(GroundStateTest, ExhaustiveAndGreedyAgree) {
 }
 
 TEST(GroundStateTest, EightDotsAboveTheExhaustiveLimitStayInRange) {
-  // 8 dots > kExhaustiveDotLimit: the dominance pre-pass, then an exact
-  // solve over the active dots or the anneal.
+  // 8 dots > kExhaustiveDotLimit: the dominance pre-pass, then the search
+  // over the active dots (capped past the limit).
   const auto model = simple_model(8);
   const ChargeSolverOptions opt;
   const std::vector<double> voltages(8, 0.04);

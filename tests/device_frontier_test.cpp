@@ -1,14 +1,12 @@
-// The solver frontier: the O(1) delta-energy move machinery must agree with
-// full energy recomputes (the property the whole search rests on), the
-// anneal must recover the exact branch-and-bound ground state on nearly all
-// enumerable models, and every run must be a pure function of its seed (so
-// job retries replay bit-identically). In front of the frontier, the
-// dominance pre-pass must solve the active dots exactly and hand a model
-// with more than 7 active dots to the anneal unchanged.
+// The search past kExhaustiveDotLimit active dots: branch-and-bound from
+// the ICM state, stopped after kSearchNodeCap nodes. Wherever the cap does
+// not trip it must equal the uncapped branch-and-bound exactly; at the cap
+// it must never return worse than ICM, and it must stay deterministic and
+// bounded up to the 64 dots the wire admits. In front of it, the dominance
+// pre-pass must solve the active dots and leave every other dot empty.
 #include "common/random.hpp"
 #include "device/charge_state.hpp"
 #include "device/dot_array.hpp"
-#include "device/simulator.hpp"
 #include "service/extraction_engine.hpp"
 
 #include "test_support.hpp"
@@ -50,229 +48,123 @@ std::vector<double> random_drives(const CapacitanceModel& model, Rng& rng) {
   return model.dot_drives(voltages);
 }
 
-std::vector<int> random_occupation(std::size_t n, int max, Rng& rng) {
-  std::vector<int> occ(n);
-  for (auto& c : occ) c = static_cast<int>(rng.uniform_int(0, max));
-  return occ;
+double icm_energy(const CapacitanceModel& model,
+                  const std::vector<double>& drives) {
+  return model.energy(ground_state_greedy(model, drives, 4), drives);
 }
 
 // ---------------------------------------------------------------------------
-// S2: delta-energy evaluations equal full energy recomputes.
+// The capped search against the uncapped branch-and-bound.
 
-TEST(DeltaMoveEvaluatorTest, SingleMoveDeltasMatchFullRecompute) {
-  Rng rng(9001);
-  for (std::size_t n : {2u, 3u, 5u, 8u, 12u, 16u}) {
-    for (int trial = 0; trial < 8; ++trial) {
-      const auto model = random_model(n, rng);
-      const auto drives = random_drives(model, rng);
-      const auto occ = random_occupation(n, 4, rng);
-      DeltaMoveEvaluator eval;
-      eval.bind(model);
-      eval.set_state(occ, drives);
-      const double base = model.energy(occ, drives);
-      auto trial_occ = occ;
-      for (std::size_t d = 0; d < n; ++d) {
-        for (int c = 0; c <= 4; ++c) {
-          trial_occ[d] = c;
-          ASSERT_NEAR(eval.delta_single(d, c),
-                      model.energy(trial_occ, drives) - base, 1e-12)
-              << "n=" << n << " trial=" << trial << " d=" << d << " c=" << c;
+TEST(CappedSearchTest, MatchesUncappedBranchAndBoundWhereTheCapHolds) {
+  // Strongly coupled jittered arrays: cross levers at 0.6 of the self
+  // lever, mutual coupling x1, x3 and x6 the default, every plunger drawn
+  // up to 1.5x the window, so most dots are active and the bound is loose.
+  // Every result is pinned against the uncapped search from the all-zero
+  // incumbent, and the cap must trip somewhere in the family.
+  int exact = 0, capped = 0;
+  for (const double coupling : {1.0, 3.0, 6.0}) {
+    for (std::size_t n = 8; n <= 12; ++n) {
+      for (int trial = 0; trial < 3; ++trial) {
+        DotArrayParams params;
+        params.n_dots = n;
+        params.cross_ratio = 0.6;
+        params.mutual_coupling *= coupling;
+        params.jitter = 0.04;
+        Rng rng(static_cast<std::uint64_t>(coupling) * 1000 + n * 10 + trial);
+        const BuiltDevice device = build_dot_array(params, &rng);
+        std::vector<double> voltages(n);
+        for (auto& v : voltages) v = rng.uniform(0.0, 1.5 * params.window_hi);
+        const auto drives = device.model.dot_drives(voltages);
+
+        IncrementalGroundStateSolver search(device.model);
+        const std::vector<int> got = search.solve_capped(drives, 4);
+        EXPECT_LE(device.model.energy(got, drives),
+                  icm_energy(device.model, drives) + 1e-15)
+            << "x" << coupling << ", " << n << " dots, trial " << trial;
+        if (search.last_stats().capped) {
+          EXPECT_EQ(search.last_stats().nodes, kSearchNodeCap);
+          ++capped;
+          continue;
         }
-        trial_occ[d] = occ[d];
-      }
-    }
-  }
-}
-
-TEST(DeltaMoveEvaluatorTest, SwapDeltasMatchFullRecompute) {
-  Rng rng(9002);
-  for (std::size_t n : {2u, 4u, 7u, 10u, 16u}) {
-    for (int trial = 0; trial < 8; ++trial) {
-      const auto model = random_model(n, rng);
-      const auto drives = random_drives(model, rng);
-      const auto occ = random_occupation(n, 4, rng);
-      DeltaMoveEvaluator eval;
-      eval.bind(model);
-      eval.set_state(occ, drives);
-      const double base = model.energy(occ, drives);
-      auto trial_occ = occ;
-      for (std::size_t a = 0; a < n; ++a) {
-        for (std::size_t b = a + 1; b < n; ++b) {
-          std::swap(trial_occ[a], trial_occ[b]);
-          ASSERT_NEAR(eval.delta_swap(a, b),
-                      model.energy(trial_occ, drives) - base, 1e-12)
-              << "n=" << n << " trial=" << trial << " a=" << a << " b=" << b;
-          std::swap(trial_occ[a], trial_occ[b]);
-        }
-      }
-    }
-  }
-}
-
-TEST(DeltaMoveEvaluatorTest, RunningEnergyTracksFullRecomputeAcrossMoves) {
-  // The accumulated energy after a long random walk of applied moves must
-  // still agree with a from-scratch recompute (no drift beyond fp residue).
-  Rng rng(9003);
-  for (std::size_t n : {3u, 6u, 12u, 16u}) {
-    const auto model = random_model(n, rng);
-    const auto drives = random_drives(model, rng);
-    DeltaMoveEvaluator eval;
-    eval.bind(model);
-    eval.set_state(random_occupation(n, 4, rng), drives);
-    for (int step = 0; step < 400; ++step) {
-      if (n >= 2 && rng.uniform() < 0.25) {
-        const auto a = static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<int>(n) - 1));
-        auto b = static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<int>(n) - 2));
-        if (b >= a) ++b;
-        eval.apply_swap(a, b);
-      } else {
-        const auto d = static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<int>(n) - 1));
-        eval.apply_single(d, static_cast<int>(rng.uniform_int(0, 4)));
-      }
-      if (step % 50 == 0)
-        ASSERT_NEAR(eval.energy(), model.energy(eval.occupation(), drives),
-                    1e-12)
-            << "n=" << n << " step=" << step;
-    }
-    EXPECT_NEAR(eval.energy(), model.energy(eval.occupation(), drives), 1e-12);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Tentpole: exactness against branch-and-bound ground truth at <= 7 dots.
-
-double exact_recovery_fraction() {
-  Rng rng(4242);
-  int exact = 0, total = 0;
-  for (std::size_t n : {5u, 6u, 7u}) {
-    for (int trial = 0; trial < 40; ++trial) {
-      const auto model = random_model(n, rng);
-      const auto drives = random_drives(model, rng);
-      const auto reference = ground_state_exhaustive(model, drives, 4);
-      const auto found = ground_state_frontier(model, drives, 4);
-      // Exact recovery = same minimal energy (degenerate ties may pick a
-      // different member of the tied set; both are ground states).
-      if (model.energy(found, drives) <=
-          model.energy(reference, drives) + 1e-12)
         ++exact;
-      ++total;
+        EXPECT_LT(search.last_stats().nodes, kSearchNodeCap);
+        IncrementalGroundStateSolver uncapped(device.model);
+        EXPECT_EQ(got, uncapped.solve(drives, 4))
+            << "x" << coupling << ", " << n << " dots, trial " << trial;
+        EXPECT_FALSE(uncapped.last_stats().capped);
+      }
     }
   }
-  return static_cast<double>(exact) / static_cast<double>(total);
+  EXPECT_GT(exact, 20);
+  EXPECT_GT(capped, 0);
 }
 
-TEST(FrontierExactnessTest, AnnealRecoversExhaustiveGroundState) {
-  EXPECT_GE(exact_recovery_fraction(), 0.95);
-}
-
-TEST(FrontierExactnessTest, FrontierNeverWorseThanPlainGreedy) {
-  // Each restart ends in an ICM polish and restart 0 starts from zeros, so
-  // the anneal cannot return a higher-energy state than plain greedy.
+TEST(CappedSearchTest, NeverAboveIcm) {
+  // The incumbent starts at the ICM state and only ever moves down, so the
+  // production solver returns at most its energy, capped or not.
   Rng rng(515);
-  for (std::size_t n : {8u, 12u, 16u}) {
+  for (std::size_t n : {8u, 12u, 16u, 24u}) {
     for (int trial = 0; trial < 6; ++trial) {
       const auto model = random_model(n, rng);
       const auto drives = random_drives(model, rng);
-      const double greedy =
-          model.energy(ground_state_greedy(model, drives, 4), drives);
-      EXPECT_LE(model.energy(ground_state_frontier(model, drives, 4), drives),
-                greedy + 1e-15);
+      GroundStateSolver solver;
+      solver.bind(model);
+      EXPECT_LE(model.energy(solver.solve(drives, {}), drives),
+                icm_energy(model, drives) + 1e-15)
+          << n << " dots, trial " << trial;
     }
   }
 }
 
-// ---------------------------------------------------------------------------
-// Determinism: same seed, same occupation, same SolveStats (the CI smoke's
-// in-process equivalent, at 12 dots).
+TEST(CappedSearchTest, SixtyFourDotsAllActiveStopAtTheCap) {
+  // The wire admits 64 dots; every plunger at the window centre makes every
+  // dot active. The search must end at the cap, deterministically, no worse
+  // than ICM.
+  DotArrayParams params;
+  params.n_dots = 64;
+  const BuiltDevice device = build_dot_array(params);
+  std::vector<double> voltages = device.base_voltages;
+  for (auto& v : voltages) v = 0.5 * (params.window_lo + params.window_hi);
+  const auto drives = device.model.dot_drives(voltages);
+  std::vector<std::size_t> active;
+  active_dots(device.model, drives, active);
+  ASSERT_EQ(active.size(), 64u);
 
-TEST(FrontierDeterminismTest, AnnealSameSeedIsBitIdentical) {
-  Rng rng(777);
-  const auto model = random_model(12, rng);
-  const auto drives = random_drives(model, rng);
-  const FrontierOptions options;
-  SolveStats first_stats, second_stats;
-  const auto first = ground_state_frontier(model, drives, 4, options,
-                                           &first_stats);
-  const auto second = ground_state_frontier(model, drives, 4, options,
-                                            &second_stats);
-  EXPECT_EQ(first, second);
-  EXPECT_EQ(first_stats.moves_evaluated, second_stats.moves_evaluated);
-  EXPECT_EQ(first_stats.moves_accepted, second_stats.moves_accepted);
-  EXPECT_EQ(first_stats.restarts, second_stats.restarts);
-  EXPECT_GT(first_stats.moves_evaluated, 0u);
-  EXPECT_GT(first_stats.restarts, 0u);
+  GroundStateSolver solver;
+  solver.bind(device.model);
+  const std::vector<int> first = solver.solve(drives, {});
+  EXPECT_TRUE(solver.last_stats().capped);
+  EXPECT_EQ(solver.last_stats().nodes, kSearchNodeCap);
+  EXPECT_LE(device.model.energy(first, drives),
+            icm_energy(device.model, drives) + 1e-15);
+  GroundStateSolver again;
+  again.bind(device.model);
+  EXPECT_EQ(again.solve(drives, {}), first);
+  EXPECT_EQ(again.last_stats().nodes, solver.last_stats().nodes);
 }
 
-// Pins of the annealing walk itself: the accept/reject decisions and RNG
-// draws must stay bit-identical through any rewrite of the acceptance test.
-
-TEST(FrontierDeterminismTest, FrontierProbeTwelveDotsMatchesPin) {
+TEST(CappedSearchTest, FrontierProbeTwelveDotsMatchesPin) {
   // `csd_tool --frontier-probe 12`: every plunger at the window centre.
+  // The search finishes below the cap, so the result is exact.
   DotArrayParams params;
   params.n_dots = 12;
   const BuiltDevice device = build_dot_array(params);
   std::vector<double> voltages = device.base_voltages;
   for (auto& v : voltages) v = 0.5 * (params.window_lo + params.window_hi);
   const auto drives = device.model.dot_drives(voltages);
-  SolveStats stats;
-  const auto occupation =
-      ground_state_frontier(device.model, drives, 4, FrontierOptions{}, &stats);
-  EXPECT_EQ(occupation, std::vector<int>(12, 1));
-  EXPECT_EQ(stats.moves_evaluated, 864u);
-  EXPECT_EQ(stats.moves_accepted, 314u);
-  EXPECT_EQ(stats.restarts, 3u);
-}
-
-TEST(FrontierDeterminismTest, AnnealWalksOnRandomModelsMatchPin) {
-  // Summed counters and an FNV-1a hash of the occupations over random 8-16
-  // dot models with drives across the window.
-  Rng rng(31337);
-  std::uint64_t evaluated = 0, accepted = 0;
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (int trial = 0; trial < 30; ++trial) {
-    const std::size_t n = 8 + static_cast<std::size_t>(trial % 9);
-    const auto model = random_model(n, rng);
-    const auto drives = random_drives(model, rng);
-    FrontierOptions options;
-    options.seed = static_cast<std::uint64_t>(trial) + 1;
-    SolveStats stats;
-    for (const int c : ground_state_frontier(model, drives, 4, options, &stats))
-      hash = (hash ^ static_cast<std::uint64_t>(c)) * 0x100000001b3ULL;
-    evaluated += stats.moves_evaluated;
-    accepted += stats.moves_accepted;
-  }
-  EXPECT_EQ(evaluated, 25272u);
-  EXPECT_EQ(accepted, 5603u);
-  EXPECT_EQ(hash, 3413533565067652398ULL);
-}
-
-TEST(FrontierDeterminismTest, DifferentSeedsSearchDifferently) {
-  // Not a correctness requirement on the *result* (both may find the same
-  // ground state) but the search itself must consume the seed: over a batch
-  // of models, two seeds must diverge somewhere in the accept counters.
-  Rng rng(778);
-  bool diverged = false;
-  for (int trial = 0; trial < 10 && !diverged; ++trial) {
-    const auto model = random_model(12, rng);
-    const auto drives = random_drives(model, rng);
-    FrontierOptions a, b;
-    b.seed = a.seed + 1;
-    SolveStats sa, sb;
-    (void)ground_state_frontier(model, drives, 4, a, &sa);
-    (void)ground_state_frontier(model, drives, 4, b, &sb);
-    diverged = sa.moves_accepted != sb.moves_accepted;
-  }
-  EXPECT_TRUE(diverged);
+  GroundStateSolver solver;
+  solver.bind(device.model);
+  EXPECT_EQ(solver.solve(drives, {}), std::vector<int>(12, 1));
+  EXPECT_EQ(solver.last_stats().nodes, 131u);
+  EXPECT_FALSE(solver.last_stats().capped);
 }
 
 // ---------------------------------------------------------------------------
 // The dominance pre-pass above kExhaustiveDotLimit: a dot with
-// mu_i < Ec_i/2 is empty in every ground state, so GroundStateSolver solves
-// only the active dots exactly, and hands the whole model to the frontier
-// search when more than the limit are active.
+// mu_i < Ec_i/2 is empty in every ground state, so GroundStateSolver
+// searches only the active dots: exactly up to the limit, with the capped
+// search past it.
 
 BuiltDevice jittered_array(std::size_t n, std::uint64_t seed) {
   DotArrayParams params;
@@ -292,8 +184,9 @@ std::vector<std::size_t> dots_above_half_charging(
   return active;
 }
 
-/// Brute-force oracle: reference enumeration over the restricted model of
-/// the active dots, every other dot empty.
+/// The search over the restricted model of the active dots, every other
+/// dot empty: the reference enumeration up to the limit, the capped search
+/// on its own past it.
 std::vector<int> compacted_oracle(const CapacitanceModel& model,
                                   const std::vector<double>& drives,
                                   const std::vector<std::size_t>& active) {
@@ -301,20 +194,24 @@ std::vector<int> compacted_oracle(const CapacitanceModel& model,
   if (active.empty()) return occupation;
   std::vector<double> sub_drives;
   for (const std::size_t d : active) sub_drives.push_back(drives[d]);
-  const auto sub =
-      ground_state_exhaustive(model.restricted_to(active), sub_drives, 4);
+  const CapacitanceModel sub_model = model.restricted_to(active);
+  const std::vector<int> sub =
+      active.size() <= kExhaustiveDotLimit
+          ? ground_state_exhaustive(sub_model, sub_drives, 4)
+          : IncrementalGroundStateSolver(sub_model).solve_capped(sub_drives,
+                                                                 4);
   for (std::size_t a = 0; a < active.size(); ++a)
     occupation[active[a]] = sub[a];
   return occupation;
 }
 
-TEST(DominancePrepassTest, ExactOverActiveDotsAndNeverAboveTheFrontier) {
+TEST(DominancePrepassTest, ExactOverActiveDotsAndCappedPastTheLimit) {
   // Each plunger either rests at its base voltage or is drawn across the
   // window; in half the trials a few drives are then moved to within 3 ulps
   // of Ec_i/2, on both sides of the activity test.
   Rng rng(8128);
   const ChargeSolverOptions options;
-  int exact_cases = 0, frontier_cases = 0, boundary_drives = 0;
+  int exact_cases = 0, capped_cases = 0, boundary_drives = 0;
   for (int trial = 0; trial < 60; ++trial) {
     const std::size_t n = 8 + static_cast<std::size_t>(trial % 9);
     const BuiltDevice device = jittered_array(n, 500 + trial);
@@ -345,22 +242,18 @@ TEST(DominancePrepassTest, ExactOverActiveDotsAndNeverAboveTheFrontier) {
     if (!nudged) {
       EXPECT_EQ(ground_state(model, voltages, options), got);
     }
-    const auto frontier =
-        ground_state_frontier(model, drives, 4, options.frontier);
     const auto active = dots_above_half_charging(model, drives);
-    if (active.size() <= kExhaustiveDotLimit) {
+    EXPECT_EQ(got, compacted_oracle(model, drives, active))
+        << "trial " << trial << ", " << active.size() << " active of " << n;
+    EXPECT_LE(model.energy(got, drives), icm_energy(model, drives) + 1e-15)
+        << "trial " << trial;
+    if (active.size() <= kExhaustiveDotLimit)
       ++exact_cases;
-      EXPECT_EQ(got, compacted_oracle(model, drives, active))
-          << "trial " << trial << ", " << active.size() << " active of " << n;
-      EXPECT_LE(model.energy(got, drives), model.energy(frontier, drives))
-          << "trial " << trial;
-    } else {
-      ++frontier_cases;
-      EXPECT_EQ(got, frontier) << "trial " << trial;
-    }
+    else
+      ++capped_cases;
   }
   EXPECT_GT(exact_cases, 20);
-  EXPECT_GT(frontier_cases, 5);
+  EXPECT_GT(capped_cases, 5);
   EXPECT_GT(boundary_drives, 0);
 }
 
@@ -391,10 +284,11 @@ TEST(DominancePrepassTest, CompactedSolveMatchesWholeModelBranchAndBound) {
   EXPECT_GE(compacted, 10);
 }
 
-TEST(DominancePrepassTest, WindowCentreStillRunsTheFrontierBitForBit) {
-  // `csd_tool --frontier-probe`: every plunger at the window centre puts all
-  // dots above Ec_i/2, so the pre-pass must hand the whole model to the
-  // anneal, unchanged.
+TEST(DominancePrepassTest, WindowCentreRunsTheCappedSearchBitForBit) {
+  // `csd_tool --frontier-probe`: every plunger at the window centre puts
+  // more than kExhaustiveDotLimit dots above Ec_i/2, so the pre-pass hands
+  // them to the capped search, which finishes below the cap on these
+  // arrays: it equals the uncapped branch-and-bound.
   for (std::size_t n = 8; n <= 16; ++n) {
     const BuiltDevice device = jittered_array(n, 900 + n);
     std::vector<double> voltages = device.base_voltages;
@@ -403,41 +297,27 @@ TEST(DominancePrepassTest, WindowCentreStillRunsTheFrontierBitForBit) {
     const auto drives = device.model.dot_drives(voltages);
     std::vector<std::size_t> active;
     active_dots(device.model, drives, active);
-    ASSERT_GT(active.size(), 7u) << n << " dots";
-    const ChargeSolverOptions options;
-    EXPECT_EQ(ground_state(device.model, voltages, options),
-              ground_state_frontier(device.model, drives, 4, options.frontier))
+    ASSERT_GT(active.size(), kExhaustiveDotLimit) << n << " dots";
+    std::vector<double> active_drives;
+    for (const std::size_t d : active) active_drives.push_back(drives[d]);
+    IncrementalGroundStateSolver search;
+    search.bind(device.model, active);
+    const std::vector<int> capped = search.solve_capped(active_drives, 4);
+    EXPECT_FALSE(search.last_stats().capped) << n << " dots";
+    EXPECT_EQ(search.solve(active_drives, 4), capped) << n << " dots";
+    EXPECT_EQ(ground_state(device.model, voltages, {}),
+              compacted_oracle(device.model, drives, active))
         << n << " dots";
   }
 }
 
 // ---------------------------------------------------------------------------
-// S1: stochastic seeds derive from the request seed — reruns are
-// bit-identical end to end.
+// Reruns are bit-identical end to end.
 
-TEST(FrontierSeedDerivationTest, SameNoiseSeedSameRasterAtTenDots) {
-  DotArrayParams params;
-  params.n_dots = 10;
-  const BuiltDevice device = build_dot_array(params);
-  const VoltageAxis axis = scan_axis(device, 24);
-
-  // Two independently constructed simulators with the same noise seed must
-  // produce bit-identical rasters. 10 dots > exhaustive_dot_limit, so each
-  // pixel goes through the dominance pre-pass: exact over its active dots,
-  // or the seeded stochastic frontier when more than 7 are active.
-  const DeviceSimulator first = make_pair_simulator(device, 4, /*seed=*/99);
-  const DeviceSimulator second = make_pair_simulator(device, 4, /*seed=*/99);
-  EXPECT_GT(first.solver_options().frontier.seed, 0u);
-  EXPECT_EQ(first.solver_options().frontier.seed,
-            second.solver_options().frontier.seed);
-  EXPECT_EQ(first.evaluate_raster(axis, axis, {RasterEvalMode::kFast, true}),
-            second.evaluate_raster(axis, axis, {RasterEvalMode::kFast, true}));
-}
-
-TEST(FrontierSeedDerivationTest, RerunningAnEngineRequestIsBitIdentical) {
+TEST(RerunTest, RerunningAnEngineRequestIsBitIdentical) {
   // The retry contract: a job-level rerun rebuilds the simulator from the
-  // request, and the frontier seed is a pure function of the request's
-  // noise seed — so the served report (the wire-visible subset) must be
+  // request, and every probe's charge state is a pure function of its
+  // voltages — so the served report (the wire-visible subset) must be
   // bit-identical across runs.
   DotArrayParams params;
   params.n_dots = 10;

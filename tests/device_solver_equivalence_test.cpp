@@ -332,7 +332,7 @@ TEST(RasterEquivalenceTest, NaiveMatchesFastAboveTheExhaustiveLimit) {
   // with the reference enumeration over a restricted model. With resting
   // plungers only the scanned dots can be active; raising `raised` more
   // plungers to the window centre grows the active set to 3-5 dots (10
-  // dots, still exact) or past 7 (16 dots, the anneal frontier).
+  // dots, exact) or past 7 (16 dots, the capped search on both sides).
   for (const auto& [n, raised] : {std::pair<std::size_t, std::size_t>{10, 3},
                                   std::pair<std::size_t, std::size_t>{16, 8}}) {
     DotArrayParams params;
@@ -356,11 +356,13 @@ TEST(RasterEquivalenceTest, NaiveMatchesFastAboveTheExhaustiveLimit) {
   }
 }
 
-TEST(RasterEquivalenceTest, ExactActiveSetBeatsAnExcitedAnnealState) {
-  // A 16-dot pair probe where annealing the whole model settles in an
-  // excited state: occupations (dot 1, dot 2) = (2, 1) instead of the
-  // ground state (1, 2). Only dots 1 and 2 are active there, so the probe
-  // path solves them exactly instead.
+TEST(RasterEquivalenceTest, WholeModelSearchFindsTheActiveSetGroundState) {
+  // A 16-dot pair probe whose ground state, occupations (dot 1, dot 2) =
+  // (1, 2), sits just below the excited state (2, 1) that a simulated
+  // anneal over the whole model settled in. Only dots 1 and 2 are active
+  // there, so the probe path solves them exactly; the capped search over
+  // the whole model, every dot free, finds the same ground state below its
+  // cap.
   DotArrayParams params;
   params.n_dots = 16;
   params.jitter = 0.04;
@@ -375,19 +377,19 @@ TEST(RasterEquivalenceTest, ExactActiveSetBeatsAnExcitedAnnealState) {
   voltages[2] = v2;
   const auto drives = device.model.dot_drives(voltages);
 
-  std::vector<int> annealed(16, 0);
-  annealed[1] = 2;
-  annealed[2] = 1;
-  EXPECT_EQ(ground_state_frontier(device.model, drives, 4,
-                                  sim.solver_options().frontier),
-            annealed);
+  std::vector<int> excited(16, 0);
+  excited[1] = 2;
+  excited[2] = 1;
   std::vector<int> ground(16, 0);
   ground[1] = 1;
   ground[2] = 2;
+  IncrementalGroundStateSolver whole(device.model);
+  EXPECT_EQ(whole.solve_capped(drives, 4), ground);
+  EXPECT_FALSE(whole.last_stats().capped);
   const std::vector<int> occupation = sim.occupation_at(v1, v2);
   EXPECT_EQ(occupation, ground);
   EXPECT_LT(device.model.energy(occupation, drives),
-            device.model.energy(annealed, drives));
+            device.model.energy(excited, drives));
 }
 
 TEST(RasterEquivalenceTest, MovedSimulatorRebindsItsSolver) {
@@ -621,7 +623,8 @@ TEST(ScanPlanTest, FallbacksMatchNaive) {
   expect_orders_match_naive(seven, widened_grid(small, 8), "7 dots");
 
   // More than kExhaustiveDotLimit candidates: eight resting plungers raised
-  // to the window centre activate them, and the probes anneal like kNaive.
+  // to the window centre activate them, and the candidate path runs the
+  // capped search on them like kNaive.
   std::vector<double> raised = device.base_voltages;
   for (std::size_t g = 8; g < 16; ++g)
     raised[g] = 0.5 * (device.params.window_lo + device.params.window_hi);
